@@ -338,7 +338,13 @@ def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
         params = {
             k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")
         }
-    expected = set(net.param_shapes())
-    if set(params) != expected:
+    expected = net.param_shapes()
+    if set(params) != set(expected):
         raise ValueError("checkpoint parameter set does not match architecture")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise ValueError(
+                f"checkpoint parameter {name} has shape {params[name].shape}, "
+                f"the architecture needs {shape}"
+            )
     return net, params, meta["extra"]

@@ -121,6 +121,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        if args.command == "train" and config.train.episodes < 1:
+            raise ValueError(f"training needs at least 1 episode, got {config.train.episodes}")
+        if args.command != "train" and config.n_eval_trials < 1:
+            raise ValueError(f"evaluation needs at least 1 trial, got {config.n_eval_trials}")
         out = args.out or config.output_dir
         command = " ".join(["minislot"] + (argv if argv is not None else sys.argv[1:]))
 

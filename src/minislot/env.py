@@ -25,7 +25,9 @@ import numpy as np
 
 from .baselines import equal_time_frequency_plan
 from .grid import BwpAllocation, BwpShape, Occupancy, Tier, bwp_shape
-from .qoe import combined_qoe, effective_rate, evaluate_ue, qoe_fn
+from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
+# perfbench/spans.py counts calls through these module globals
+from .qoe import combined_qoe, effective_rate, qoe_fn  # noqa: F401
 from .scenario import (
     STREAM_SCENARIO,
     ScenarioConfig,
@@ -76,6 +78,11 @@ def expand_cells(cell_code: np.ndarray, n_ues: int) -> np.ndarray:
         axis=-3,
     )
     return channels
+
+
+# attribute types clone() copies instead of sharing; an exact-type set
+# lookup keeps the copy cheap (the oracle clones once per search node)
+_COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
 
 
 class SchedulingEnv:
@@ -129,9 +136,6 @@ class SchedulingEnv:
         n = cfg.n_ues
 
         self.occupancy = Occupancy(self.dims)
-        self.cell_code = np.zeros(
-            (self.dims.n_freq_units, self.dims.n_time_units), dtype=np.uint8
-        )
         self.bt_bits = np.zeros(n)
         self.et_bits = np.zeros(n)
         self.served = np.zeros(n, dtype=bool)
@@ -180,9 +184,10 @@ class SchedulingEnv:
         ue = self._active
         tier = self.phase
         shape = self.shapes[action_index]
-        pos = self.occupancy.place(shape)
+        # cell code layout: see expand_cells
+        pos = self.occupancy.place(shape, 1 + 2 * ue + (tier == Tier.ET))
         assert pos is not None  # guaranteed by the mask
-        self._record_allocation(ue, tier, shape, pos)
+        self.allocations.append(BwpAllocation(ue, tier, shape, *pos))
 
         q_before = self._q_tilde_or_zero(ue)
         profile = self.profiles[ue]
@@ -300,12 +305,7 @@ class SchedulingEnv:
                     self.bt_bits[ue]
                     + shape.area_shz(self.dims) * profile.link.spectral_efficiency
                 )
-                q_after = qoe_fn(
-                    effective_rate(
-                        bits, self.config.frame_duration_s, profile.qoe.bt_coverage_deg2
-                    ),
-                    profile.qoe,
-                )
+                q_after = base_tier_qoe(bits, self.config.frame_duration_s, profile.qoe)
                 if q_after > profile.qoe.peak_qoe:
                     continue
             mask[i] = True
@@ -320,29 +320,19 @@ class SchedulingEnv:
             * self.dims.rb_size_shz
             * profile.link.spectral_efficiency
         )
-        if potential <= 0.0:
-            return True
-        q_max = qoe_fn(
-            effective_rate(
-                potential, self.config.frame_duration_s, profile.qoe.bt_coverage_deg2
-            ),
-            profile.qoe,
+        return (
+            potential <= 0.0
+            or base_tier_qoe(potential, self.config.frame_duration_s, profile.qoe)
+            < profile.qoe.min_qoe
         )
-        return q_max < profile.qoe.min_qoe
 
     # ---------- per-user QoE bookkeeping ----------
 
     def _q_bt(self, ue: int) -> float:
         if self.bt_bits[ue] <= 0.0:
             return -math.inf
-        profile = self.profiles[ue]
-        return qoe_fn(
-            effective_rate(
-                self.bt_bits[ue],
-                self.config.frame_duration_s,
-                profile.qoe.bt_coverage_deg2,
-            ),
-            profile.qoe,
+        return base_tier_qoe(
+            self.bt_bits[ue], self.config.frame_duration_s, self.profiles[ue].qoe
         )
 
     def _q_tilde_or_zero(self, ue: int) -> float:
@@ -350,39 +340,9 @@ class SchedulingEnv:
         so QoE deltas are well defined from the first allocation on."""
         if self.bt_bits[ue] <= 0.0:
             return 0.0
-        profile = self.profiles[ue]
-        frame_s = self.config.frame_duration_s
-        bt_rate = effective_rate(
-            self.bt_bits[ue], frame_s, profile.qoe.bt_coverage_deg2
-        )
-        total = bt_rate
-        if self.et_bits[ue] > 0.0:
-            total += effective_rate(
-                self.et_bits[ue], frame_s, profile.qoe.et_coverage_deg2
-            )
-        return combined_qoe(
-            qoe_fn(bt_rate, profile.qoe),
-            qoe_fn(total, profile.qoe),
-            profile.fov_prob,
-        )
-
-    def _record_allocation(
-        self, ue: int, tier: Tier, shape: BwpShape, pos: tuple[int, int]
-    ) -> None:
-        t0, f0 = pos
-        self.allocations.append(
-            BwpAllocation(
-                ue_index=ue,
-                tier=tier,
-                shape=shape,
-                time_offset_units=t0,
-                freq_offset_units=f0,
-            )
-        )
-        code = 1 + 2 * ue + (1 if tier == Tier.ET else 0)
-        self.cell_code[
-            f0 : f0 + shape.freq_width_units, t0 : t0 + shape.time_len_units
-        ] = code
+        qp = self.profiles[ue].qoe
+        rates = ue_rates(self.bt_bits[ue], self.et_bits[ue], self.config.frame_duration_s, qp)
+        return ue_scores(*rates, qp)[1]
 
     # ---------- observations and results ----------
 
@@ -402,7 +362,7 @@ class SchedulingEnv:
             aux[4 * n + self._active] = 1.0
         aux[5 * n] = 1.0 if self.phase == Tier.ET else 0.0
         aux[5 * n + 1] = self.step_count / self.reward_params.max_steps
-        return self.cell_code.copy(), aux
+        return self.occupancy.code.copy(), aux
 
     def encode(self) -> tuple[np.ndarray, np.ndarray]:
         """(float32 channels (3, F, T), float32 aux vector) for the network."""
@@ -441,36 +401,16 @@ class SchedulingEnv:
             fileobj.write(json.dumps(record) + "\n")
 
     def clone(self) -> "SchedulingEnv":
-        """Independent copy of the live episode (used by exhaustive search)."""
+        """Independent copy of the live episode (used by exhaustive search).
+
+        Every array, list and grid attribute is copied, whatever ``reset()``
+        set; the copy records no trace.
+        """
         other = SchedulingEnv.__new__(SchedulingEnv)
-        other.config = self.config
-        other.reward_params = self.reward_params
+        state = other.__dict__ = self.__dict__.copy()
+        for name, value in state.items():
+            if type(value) in _COPIED_TYPES:
+                state[name] = value.copy()
         other.record_trace = False
-        other.dims = self.dims
-        other.action_set = self.action_set
-        other.shapes = self.shapes
-        other.n_actions = self.n_actions
-        other.aux_dim = self.aux_dim
-        other.profiles = self.profiles
-        other.done = self.done
-        other.outcome = self.outcome
-        if not self.profiles:
-            return other
-        other.occupancy = self.occupancy.copy()
-        other.cell_code = self.cell_code.copy()
-        other.bt_bits = self.bt_bits.copy()
-        other.et_bits = self.et_bits.copy()
-        other.served = self.served.copy()
-        other.bt_excluded = self.bt_excluded.copy()
-        other.bt_count = self.bt_count.copy()
-        other.et_count = self.et_count.copy()
-        other.allocations = list(self.allocations)
-        other.step_count = self.step_count
         other.trace = []
-        other.order = self.order
-        other.phase = self.phase
-        other._bt_queue = list(self._bt_queue)
-        other._et_rotation = list(self._et_rotation)
-        other._active = self._active
-        other._mask = self._mask.copy()
         return other

@@ -199,69 +199,85 @@ def validate_allocation_set(allocations: list[BwpAllocation], dims: GridDims) ->
 
 
 class Occupancy:
-    """Mutable occupancy bitmap with a per-row allocation frontier.
+    """The lattice as one array of uint8 cell codes, 0 marking a free cell.
 
-    ``frontier[r]`` is one past the last occupied column of row ``r`` (the
-    row's boundary line), not necessarily the first free cell: first-fit
-    placement of mixed rectangle heights can leave holes behind the frontier.
-    The bitmap is authoritative; the frontier is bookkeeping for observers.
+    The caller picks the non-zero code each placement paints; the
+    environment encodes owner and tier (see ``env.expand_cells``).
+    Paint only through ``mark``/``place``: first-fit answers are cached
+    per grid state and ``mark`` is what drops them.
     """
 
     def __init__(self, dims: GridDims):
         self.dims = dims
-        self.occ = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=bool)
-        self.frontier = np.zeros(dims.n_freq_units, dtype=np.int64)
+        self.code = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=np.uint8)
+        self._forget()
+
+    def _forget(self) -> None:
+        # a copy shares both until either side marks: the image is never
+        # written in place, and the answers hold for the state they share
+        self._csum: np.ndarray | None = None  # integral image, see find_first_fit
+        self._fits: dict[tuple[int, int], tuple[int, int] | None] = {}
 
     def copy(self) -> "Occupancy":
         clone = Occupancy.__new__(Occupancy)
         clone.dims = self.dims
-        clone.occ = self.occ.copy()
-        clone.frontier = self.frontier.copy()
+        clone.code = self.code.copy()
+        clone._csum = self._csum
+        clone._fits = self._fits
         return clone
 
     def free_units(self) -> int:
-        return int(self.occ.size - self.occ.sum())
+        return self.code.size - np.count_nonzero(self.code)
 
     def find_first_fit(self, shape: BwpShape) -> tuple[int, int] | None:
         """First position fitting ``shape``: minimum time offset, then
         minimum frequency offset.  Returns (time_offset, freq_offset)."""
         fw, tl = shape.freq_width_units, shape.time_len_units
-        n_freq, n_time = self.occ.shape
+        if (fw, tl) in self._fits:
+            return self._fits[fw, tl]
+        n_freq, n_time = self.code.shape
         if fw > n_freq or tl > n_time:
             return None
-        # integral image -> occupied-cell count of every candidate window
-        csum = np.zeros((n_freq + 1, n_time + 1), dtype=np.int64)
-        np.cumsum(self.occ, axis=0, out=csum[1:, 1:])
-        np.cumsum(csum[1:, 1:], axis=1, out=csum[1:, 1:])
+        # integral image of the codes, time-major; they are non-negative, so
+        # a window sums to zero exactly when every cell in it is free.  It is
+        # built once per grid state and shared by every shape tried on it.
+        csum = self._csum
+        if csum is None:
+            csum = np.zeros((n_time + 1, n_freq + 1), dtype=np.int64)
+            np.cumsum(self.code.T, axis=0, out=csum[1:, 1:])
+            np.cumsum(csum[1:, 1:], axis=1, out=csum[1:, 1:])
+            self._csum = csum
         window = (
-            csum[fw:, tl:]
-            - csum[:-fw, tl:]
-            - csum[fw:, :-tl]
-            + csum[:-fw, :-tl]
+            csum[tl:, fw:]
+            - csum[:-tl, fw:]
+            - csum[tl:, :-fw]
+            + csum[:-tl, :-fw]
         )
-        feasible = window == 0  # (freq offsets, time offsets)
-        by_time = feasible.any(axis=0)
-        if not by_time.any():
-            return None
-        t0 = int(np.argmax(by_time))
-        f0 = int(np.argmax(feasible[:, t0]))
-        return t0, f0
+        # row-major over (time offset, freq offset): the first free window
+        # has the least time offset, then the least frequency offset
+        free = (window == 0).ravel()
+        first = int(free.argmax())
+        pos = divmod(first, window.shape[1]) if free[first] else None
+        self._fits[fw, tl] = pos
+        return pos
 
-    def mark(self, time_offset: int, freq_offset: int, shape: BwpShape) -> None:
-        t1 = time_offset + shape.time_len_units
-        f1 = freq_offset + shape.freq_width_units
-        region = self.occ[freq_offset:f1, time_offset:t1]
+    def mark(self, time_offset: int, freq_offset: int, shape: BwpShape, code: int) -> None:
+        """Paint ``code`` (1-255) over the shape's cells, which must be free."""
+        region = self.code[
+            freq_offset : freq_offset + shape.freq_width_units,
+            time_offset : time_offset + shape.time_len_units,
+        ]
         if region.any():
             raise ValueError(
                 f"placement at (t={time_offset}, f={freq_offset}) overlaps an "
                 f"existing allocation"
             )
-        region[:] = True
-        self.frontier[freq_offset:f1] = np.maximum(self.frontier[freq_offset:f1], t1)
+        region[:] = code
+        self._forget()
 
-    def place(self, shape: BwpShape) -> tuple[int, int] | None:
+    def place(self, shape: BwpShape, code: int) -> tuple[int, int] | None:
         """Find-and-mark in one call; None when the shape fits nowhere."""
         pos = self.find_first_fit(shape)
         if pos is not None:
-            self.mark(pos[0], pos[1], shape)
+            self.mark(pos[0], pos[1], shape, code)
         return pos

@@ -17,7 +17,9 @@ import numpy as np
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
-from .qoe import combined_qoe, effective_rate
+# perfbench/spans.py counts calls through these module globals
+from .qoe import combined_qoe, effective_rate  # noqa: F401
+from .qoe import ue_rates, ue_scores
 from .scenario import ScenarioConfig, UeProfile
 
 
@@ -89,13 +91,9 @@ class _Search:
             if bt <= 0.0:
                 continue
             qp = profile.qoe
-            rate_bt = effective_rate(bt, self.frame_s, qp.bt_coverage_deg2)
-            rate_et = effective_rate(et, self.frame_s, qp.et_coverage_deg2)
-            q_bt = qp.a + qp.b * np.log(rate_bt)
-            if q_bt < qp.min_qoe:
-                continue
-            q_tot = qp.a + qp.b * np.log(rate_bt + rate_et)
-            total += combined_qoe(q_bt, q_tot, profile.fov_prob)
+            q_bt, q_combined = ue_scores(*ue_rates(bt, et, self.frame_s, qp), qp)
+            if q_bt >= qp.min_qoe:
+                total += q_combined
         return total
 
     def run(self, env: SchedulingEnv, prefix: tuple[int, ...]) -> None:

@@ -61,6 +61,29 @@ def combined_qoe(q_bt: float, q_total: float, fov_prob: float) -> float:
     return (1.0 - fov_prob) * q_bt + fov_prob * q_total
 
 
+def base_tier_qoe(bt_bits: float, frame_duration_s: float, params: QoeParams) -> float:
+    """QoE of ``bt_bits`` base-tier bits per frame, spread over the sphere."""
+    return qoe_fn(effective_rate(bt_bits, frame_duration_s, params.bt_coverage_deg2), params)
+
+
+def ue_rates(
+    bt_bits: float, et_bits: float, frame_duration_s: float, params: QoeParams
+) -> tuple[float, float]:
+    """(base-tier, total) effective rate of one user's bits per frame."""
+    bt_rate = effective_rate(bt_bits, frame_duration_s, params.bt_coverage_deg2)
+    if et_bits <= 0.0:
+        return bt_rate, bt_rate
+    return bt_rate, bt_rate + effective_rate(
+        et_bits, frame_duration_s, params.et_coverage_deg2
+    )
+
+
+def ue_scores(bt_rate: float, total_rate: float, params: QoeParams) -> tuple[float, float]:
+    """(base-tier QoE, combined QoE) of one user at the given effective rates."""
+    q_bt = qoe_fn(bt_rate, params)
+    return q_bt, combined_qoe(q_bt, qoe_fn(total_rate, params), params.fov_prob)
+
+
 @dataclass(frozen=True)
 class QoeReport:
     """Evaluated QoE for one user under a concrete allocation."""
@@ -96,15 +119,8 @@ def evaluate_ue(
             q_combined=math.nan,
             served=False,
         )
-    bt_rate = effective_rate(bt_bits, frame_duration_s, params.bt_coverage_deg2)
-    et_rate = (
-        effective_rate(et_bits, frame_duration_s, params.et_coverage_deg2)
-        if et_bits > 0.0
-        else 0.0
-    )
-    total = bt_rate + et_rate
-    q_bt = qoe_fn(bt_rate, params)
-    q_comb = combined_qoe(q_bt, qoe_fn(total, params), params.fov_prob)
+    bt_rate, total = ue_rates(bt_bits, et_bits, frame_duration_s, params)
+    q_bt, q_comb = ue_scores(bt_rate, total, params)
     return QoeReport(
         bt_rate=bt_rate,
         total_rate=total,

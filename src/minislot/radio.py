@@ -32,11 +32,7 @@ def dbm_per_hz_to_w_per_hz(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Static radio parameters shared by all users.
-
-    ``psd_split`` tags the transmit-power sharing policy; only an equal split
-    of the total PSD across all users is implemented.
-    """
+    """Static radio parameters shared by all users."""
 
     carrier_frequency_hz: float = 28e9
     tx_gain_dbi: float = 15.0
@@ -44,7 +40,6 @@ class LinkParams:
     noise_psd_dbm_hz: float = -169.0
     total_tx_psd_dbm_hz: float = -47.0
     tx_psd_backoff_db: float = 30.0
-    psd_split: str = "equal"
 
     @property
     def noise_psd_w_hz(self) -> float:
@@ -67,8 +62,6 @@ class LinkParams:
 
 def per_ue_psd_w_hz(link: LinkParams, n_ues: int) -> float:
     """Equal split of the total transmit PSD across all ``n_ues`` users."""
-    if link.psd_split != "equal":
-        raise ValueError(f"unsupported psd_split policy {link.psd_split!r}")
     if n_ues < 1:
         raise ValueError(f"n_ues must be >= 1, got {n_ues}")
     return link.total_tx_psd_w_hz / n_ues

@@ -107,6 +107,14 @@ def run_eval(
             raise ValueError("dqn evaluation needs a checkpoint")
         net, params, _ = load_checkpoint(checkpoint)
         env = build_env(config)
+        c = net.config
+        trained = (c.grid_height, c.grid_width, c.aux_dim, c.n_actions)
+        needed = (env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions)
+        if trained != needed:
+            raise ValueError(
+                f"checkpoint {checkpoint} fits (grid_height, grid_width, aux_dim, "
+                f"n_actions) = {trained}, but this config needs {needed}"
+            )
         for trial in range(n_trials):
             profiles = scenario_for_trial(config.scenario, trial)
             roll = greedy_rollout(env, net, params, profiles=profiles)

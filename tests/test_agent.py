@@ -13,7 +13,7 @@ from minislot.agent import (
     train,
 )
 from minislot.env import SchedulingEnv, expand_cells
-from minislot.net import NetConfig, QNetwork
+from minislot.net import NetConfig, QNetwork, default_net_config
 from minislot.scenario import scenario_for_trial, tiny_config
 
 FAST = TrainConfig(
@@ -249,4 +249,17 @@ def test_load_rejects_future_version(tmp_path):
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="version"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_wrong_parameter_shape(tmp_path):
+    env = tiny_env()
+    net = QNetwork(
+        default_net_config(env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions)
+    )
+    params = net.init_params(np.random.default_rng(0))
+    params["out/b"] = np.zeros(99)  # the architecture needs (n_actions,)
+    path = tmp_path / "policy.npz"
+    save_checkpoint(path, net, params)
+    with pytest.raises(ValueError, match=r"out/b has shape \(99,\)"):
         load_checkpoint(path)

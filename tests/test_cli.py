@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from minislot.agent import TrainConfig
 from minislot.cli import build_parser, main
 from minislot.config import save_config, tiny_experiment
 
@@ -98,6 +100,50 @@ def test_oracle_refuses_default_scale(tmp_path, capsys):
     code = main(["oracle", "--trials", "1", "--out", str(tmp_path)])
     assert code == 1
     assert "oracle cap" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
+    checkpoint = str(trained / "checkpoint.npz")
+    code = main(
+        ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", checkpoint,
+         "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(8, 16, 12, 4)" in err and "(24, 56, 22, 9)" in err  # tiny vs default
+
+
+@pytest.mark.parametrize(
+    "argv, environ, config, message",
+    [
+        (["train", "--tiny", "--episodes", "0"], {}, None, "at least 1 episode, got 0"),
+        (["train", "--tiny"], {"MINISLOT_TRAIN__EPISODES": "0"}, None, "at least 1 episode"),
+        (
+            ["train"], {}, tiny_experiment(train=TrainConfig(episodes=0)),
+            "at least 1 episode",
+        ),
+        (["baseline", "--tiny", "--trials", "-3"], {}, None, "at least 1 trial, got -3"),
+        (["eval", "--tiny", "--trials", "0"], {}, None, "at least 1 trial, got 0"),
+        (["oracle", "--tiny", "--trials", "0"], {}, None, "at least 1 trial"),
+        (["baseline", "--tiny"], {"MINISLOT_N_EVAL_TRIALS": "0"}, None, "at least 1 trial"),
+        (["oracle"], {}, replace(tiny_experiment(), n_eval_trials=-1), "at least 1 trial"),
+    ],
+)
+def test_counts_below_one_fail_cleanly(
+    argv, environ, config, message, tmp_path, monkeypatch, capsys
+):
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        save_config(tmp_path / "experiment.json", config)
+        argv = argv + ["--config", str(tmp_path / "experiment.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_config_and_tiny_conflict(tmp_path, capsys):

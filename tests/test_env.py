@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from minislot.env import RewardParams, SchedulingEnv, expand_cells, serving_order
-from minislot.grid import GridSpec, Tier, validate_allocation_set
+from minislot.grid import GridSpec, Occupancy, Tier, validate_allocation_set
 from minislot.qoe import combined_qoe, effective_rate
 from minislot.scenario import (
     default_config,
@@ -261,15 +262,40 @@ def test_trace_export_round_trips_json():
     assert set(last) >= {"t", "ue", "tier", "action", "placement", "reward", "q_tilde"}
 
 
+def _assert_same(actual, expected, name):
+    if isinstance(expected, Occupancy):
+        assert actual.dims == expected.dims, name
+        actual, expected = actual.code, expected.code
+    if isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, name
+        np.testing.assert_array_equal(actual, expected, err_msg=name)
+    else:
+        assert actual == expected, name
+
+
 def test_clone_is_independent():
-    env = make_tiny()
+    env = SchedulingEnv(tiny_config(), record_trace=True)
+    env.reset(profiles=scenario_for_trial(env.config, 0))
     env.step(LARGE)
     clone = env.clone()
+    # every attribute is copied, except that a clone records no trace
+    assert vars(clone).keys() == vars(env).keys()
+    for name in vars(env).keys() - {"record_trace", "trace"}:
+        _assert_same(getattr(clone, name), getattr(env, name), name)
+    assert not clone.record_trace and clone.trace == []
     before = clone.feasible_actions().copy()
     env.step(LARGE)
     np.testing.assert_array_equal(clone.feasible_actions(), before)
     assert clone.step_count == env.step_count - 1
     assert clone.occupancy.free_units() == env.occupancy.free_units() + 14
+    # playing a clone to the end leaves the original untouched
+    snapshot = copy.deepcopy(vars(env))
+    child = env.clone()
+    while not child.done:
+        child.step(int(np.argmax(child.feasible_actions())))
+    assert vars(env).keys() == snapshot.keys()
+    for name, value in snapshot.items():
+        _assert_same(getattr(env, name), value, name)
 
 
 def test_fresh_scenarios_come_from_the_given_stream():

@@ -111,29 +111,29 @@ def test_first_fit_prefers_earliest_time_then_lowest_frequency():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
     wide = bwp_shape(4, 7, DEFAULT)  # 28 x 1
-    assert occ.place(wide) == (0, 0)
-    assert occ.place(wide) == (0, 1)  # same column, next row up
+    assert occ.place(wide, 1) == (0, 0)
+    assert occ.place(wide, 1) == (0, 1)  # same column, next row up
     tall = bwp_shape(6, 2, DEFAULT)  # 2 x 4
     # rows 0-1 are blocked until t=28, rows 2+ free from t=0
-    assert occ.place(tall) == (0, 2)
+    assert occ.place(tall, 1) == (0, 2)
 
 
 def test_first_fit_skips_holes_too_small():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
-    occ.mark(4, 0, bwp_shape(4, 7, DEFAULT))  # cols 4..31 of row 0
+    occ.mark(4, 0, bwp_shape(4, 7, DEFAULT), 1)  # cols 4..31 of row 0
     pos = occ.find_first_fit(bwp_shape(4, 2, DEFAULT))  # needs 8 columns
     assert pos == (0, 1)  # the 4-column hole in row 0 is too narrow
 
 
-def test_mark_rejects_overlap_and_tracks_frontier():
+def test_mark_rejects_overlap():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
     s = bwp_shape(5, 4, DEFAULT)  # 8 x 2
-    occ.mark(0, 0, s)
-    assert list(occ.frontier[:3]) == [8, 8, 0]
+    occ.mark(0, 0, s, 3)
+    assert (occ.code[:2, :8] == 3).all()
     with pytest.raises(ValueError):
-        occ.mark(7, 1, s)
+        occ.mark(7, 1, s, 1)
     assert occ.free_units() == dims.total_units - s.area_units
 
 
@@ -147,7 +147,7 @@ def test_shape_too_large_for_grid():
 def test_occupancy_copy_is_independent():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
-    occ.place(bwp_shape(4, 2, DEFAULT))
+    occ.place(bwp_shape(4, 2, DEFAULT), 1)
     clone = occ.copy()
-    clone.place(bwp_shape(4, 2, DEFAULT))
+    clone.place(bwp_shape(4, 2, DEFAULT), 1)
     assert clone.free_units() == occ.free_units() - 8
