@@ -364,11 +364,6 @@ class SchedulingEnv:
         aux[5 * n + 1] = self.step_count / self.reward_params.max_steps
         return self.occupancy.code.copy(), aux
 
-    def encode(self) -> tuple[np.ndarray, np.ndarray]:
-        """(float32 channels (3, F, T), float32 aux vector) for the network."""
-        code, aux = self.compact_observation()
-        return expand_cells(code, self.config.n_ues), aux
-
     def per_ue_qoe(self) -> list[float]:
         """Combined QoE per user, counting unserved users as zero."""
         return [

@@ -1,9 +1,12 @@
 """Exhaustive search for the best reachable schedule on small instances.
 
 The oracle plays the same environment protocol as the learned policy: it
-explores every feasible action sequence by depth-first search over cloned
+explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
-An admissible bound (every user optimistically gets all remaining free
+Two sequences often reach the same state (the same occupied cells, bits,
+counts and cursor), and what can follow a state depends on nothing else,
+so a table of exact state keys expands each reachable state once.  An
+admissible bound (every user optimistically gets all remaining free
 cells in both tiers) prunes subtrees that cannot beat the incumbent, and
 a node budget turns pathological instances into a clean error instead of
 an open-ended search.
@@ -11,12 +14,14 @@ an open-ended search.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
+from .grid import Tier
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
 from .qoe import ue_rates, ue_scores
@@ -42,6 +47,8 @@ class OracleResult:
     total_qoe: float
     served: tuple[bool, ...]
     actions: tuple[int, ...]
+    # every expanded child, repeated states included; the node budget thus
+    # bounds both the work and the size of the table of seen states
     nodes: int
 
 
@@ -61,11 +68,43 @@ def _check_size(config: ScenarioConfig, n_actions: int, caps: OracleCaps) -> Non
         )
 
 
+# The SchedulingEnv attributes that decide what can follow a live state.
+# Everything else reset() sets is fixed per trial, derived from these, or
+# a record of the past (tests/test_oracle_table.py checks the split).
+KEY_FIELDS = (
+    "occupancy", "bt_bits", "et_bits", "bt_count", "et_count", "served",
+    "bt_excluded", "phase", "_bt_queue", "_et_rotation", "_active",
+)
+
+
+def state_key(env: SchedulingEnv) -> bytes:
+    """Exact key of a live state over ``KEY_FIELDS``.
+
+    Cells count only as occupied or free, and the bits enter as their
+    float64 bytes, unrounded.  Every part but the two queues has a fixed
+    length per trial, and the first queue is length-prefixed.
+    """
+    queue = env._bt_queue
+    active = len(env.profiles) if env._active is None else env._active
+    cursor = [env.phase == Tier.ET, active, len(queue), *queue, *env._et_rotation]
+    return b"".join((
+        np.packbits(env.occupancy.code).tobytes(),  # one bit per non-zero code
+        env.bt_bits.tobytes(),
+        env.et_bits.tobytes(),
+        env.bt_count.tobytes(),
+        env.et_count.tobytes(),
+        env.served.tobytes(),
+        env.bt_excluded.tobytes(),
+        array("q", cursor).tobytes(),
+    ))
+
+
 class _Search:
     def __init__(self, env: SchedulingEnv, caps: OracleCaps):
         self.env = env
         self.caps = caps
         self.nodes = 0
+        self.seen: set[bytes] = set()
         self.best_qoe = -1.0
         self.best_actions: tuple[int, ...] = ()
         cfg = env.config
@@ -103,6 +142,10 @@ class _Search:
                 self.best_qoe = qoe
                 self.best_actions = prefix
             return
+        key = state_key(env)
+        if key in self.seen:
+            return
+        self.seen.add(key)
         if self.upper_bound(env) <= self.best_qoe:
             return
         mask = env.feasible_actions()
@@ -126,9 +169,13 @@ def oracle_best_plan(
 ) -> OracleResult:
     """Best total QoE reachable through the environment protocol.
 
-    Ties between action sequences with equal QoE resolve toward the
-    sequence found first in large-shape-first order, which is fixed, so
-    results are deterministic.
+    Each reachable state is expanded once.  Ties between action sequences
+    with equal QoE resolve toward the sequence found first in
+    large-shape-first order, which is fixed, so results are deterministic.
+    The table does not change that answer: the incumbent moves only on a
+    strict gain, and a repeated state's subtree holds the same leaf values
+    as its first copy, which came earlier in that order and either reached
+    them or pruned them against a lower incumbent.
     """
     caps = caps or OracleCaps()
     env = SchedulingEnv(config)

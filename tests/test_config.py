@@ -1,5 +1,10 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minislot.agent import TrainConfig
 from minislot.config import (
     ExperimentConfig,
     apply_env_overrides,
@@ -10,6 +15,84 @@ from minislot.config import (
     tiny_experiment,
     to_dict,
 )
+from minislot.env import RewardParams
+from minislot.grid import GridSpec
+from minislot.radio import LinkParams
+from minislot.scenario import FovModel, ScenarioConfig
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+# NaN is left out: it parses back, but never compares equal to itself
+reals = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-6, 1e6)
+counts = st.integers(0, 10**6)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Configs that pass the dataclasses' own checks, every field drawn."""
+    mu_min = draw(st.integers(0, 6))
+    mu_max = draw(st.integers(mu_min, 6))
+    n_ues = draw(st.integers(1, 6))
+    min_distance = draw(st.floats(1.0, 1e4))
+    fov_low = draw(st.floats(0.0, 0.99))
+    eps_end = draw(st.floats(0.0, 1.0))
+    scenario = ScenarioConfig(
+        n_ues=n_ues,
+        cell_radius_m=draw(st.floats(min_distance, 2e4)),
+        min_distance_m=min_distance,
+        grid=GridSpec(mu_min, mu_max, draw(positive), draw(positive)),
+        link=LinkParams(*(draw(reals) for _ in range(6))),
+        numerology_set=tuple(
+            draw(st.lists(st.integers(mu_min, mu_max), min_size=1, max_size=4))
+        ),
+        minislot_set=tuple(draw(st.lists(st.integers(1, 14), min_size=1, max_size=4))),
+        min_qoe=tuple(draw(reals) for _ in range(n_ues)),
+        peak_factor=draw(reals),
+        qoe_a=draw(reals),
+        qoe_b=draw(reals),
+        bt_coverage_deg2=draw(positive),
+        et_coverage_deg2=draw(positive),
+        fov=FovModel(
+            parent_mean=draw(reals),
+            parent_var=draw(positive),
+            low=fov_low,
+            high=draw(st.floats(fov_low, 1.0, exclude_min=True)),
+            max_draws=draw(counts),
+        ),
+        max_bwps_per_ue_tier=draw(st.none() | st.integers(1, 20)),
+        rng_seed=draw(counts),
+    )
+    reward = RewardParams(*(draw(reals) for _ in range(5)), max_steps=draw(counts))
+    train = TrainConfig(
+        episodes=draw(counts),
+        learning_rate=draw(positive),
+        batch_size=draw(counts),
+        replay_capacity=draw(counts),
+        train_start_size=draw(counts),
+        target_sync_steps=draw(counts),
+        epsilon_start=draw(st.floats(eps_end, 1.0)),
+        epsilon_end=eps_end,
+        epsilon_decay_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        grad_clip_norm=draw(positive),
+        seed=draw(counts),
+    )
+    return ExperimentConfig(
+        scenario=scenario,
+        reward=reward,
+        train=train,
+        n_eval_trials=draw(counts),
+        output_dir=draw(st.text(min_size=1, max_size=20)),
+    )
+
+
+def leaf_paths(node, path=()):
+    """(path, value) for every non-dict value of a nested dict."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,), value
 
 
 def test_dict_round_trip_preserves_everything():
@@ -87,3 +170,23 @@ def test_env_override_still_validates():
         apply_env_overrides(
             default_experiment(), {"MINISLOT_SCENARIO__N_UES": "3"}
         )  # 3 users but 4 min-QoE levels
+
+
+@PROPERTY_SETTINGS
+@given(config=experiment_configs())
+def test_every_valid_config_survives_a_file_round_trip(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("config") / "experiment.json"
+    save_config(path, config)
+    assert load_config(path) == config
+
+
+@PROPERTY_SETTINGS
+@given(config=experiment_configs())
+def test_every_env_override_path_survives_unchanged(config):
+    environ = {
+        "MINISLOT_" + "__".join(path).upper(): json.dumps(value)
+        for path, value in leaf_paths(to_dict(config))
+    }
+    for name, value in environ.items():
+        assert apply_env_overrides(config, {name: value}) == config, name
+    assert apply_env_overrides(config, environ) == config

@@ -1,0 +1,171 @@
+"""The oracle's table of seen states: its key covers every part of the
+environment that decides what can follow a state, and the search it
+shortens still returns what plain enumeration returns."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minislot.env import SchedulingEnv
+from minislot.grid import GridSpec, Tier
+from minislot.oracle import KEY_FIELDS, oracle_best_plan, state_key
+from minislot.scenario import scenario_for_trial, tiny_config
+
+# SchedulingEnv attributes the key leaves out
+NOT_KEYED = {
+    # fixed per config
+    "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
+    "aux_dim", "record_trace",
+    # fixed per trial
+    "profiles", "order",
+    # derived: the mask from the grid and cursor, the step count is the
+    # sum of the per-tier counts
+    "_mask", "step_count",
+    # records of the past, which no later step reads
+    "allocations", "trace",
+    # terminal states are never keyed
+    "done", "outcome",
+}
+
+
+def live_states():
+    """Every live state of a tiny-config episode that always takes the
+    largest feasible shape, from reset through both tiers."""
+    config = tiny_config()
+    env = SchedulingEnv(config, record_trace=True)
+    env.reset(profiles=scenario_for_trial(config, 0))
+    states = []
+    while not env.done:
+        states.append(env.clone())
+        feasible = np.flatnonzero(env.feasible_actions())
+        env.step(int(max(feasible, key=lambda a: env.shapes[a].area_units)))
+    assert {s.phase for s in states} == {Tier.BT, Tier.ET}
+    return states
+
+
+def test_key_fields_and_exclusions_cover_the_env_state():
+    assert not NOT_KEYED & set(KEY_FIELDS)
+    for env in live_states():
+        assert set(vars(env)) <= NOT_KEYED | set(KEY_FIELDS)
+        assert env.step_count == env.bt_count.sum() + env.et_count.sum()
+
+
+def _flip_free_cell(env):
+    env.occupancy.code.flat[np.flatnonzero(env.occupancy.code == 0)[0]] = 1
+
+
+# one change per key field; each must change the key
+PERTURB = {
+    "occupancy": _flip_free_cell,
+    "bt_bits": lambda e: e.bt_bits.__setitem__(0, np.nextafter(e.bt_bits[0], 1.0)),
+    "et_bits": lambda e: e.et_bits.__setitem__(0, np.nextafter(e.et_bits[0], 1.0)),
+    "bt_count": lambda e: e.bt_count.__setitem__(1, e.bt_count[1] + 1),
+    "et_count": lambda e: e.et_count.__setitem__(1, e.et_count[1] + 1),
+    "served": lambda e: e.served.__setitem__(1, not e.served[1]),
+    "bt_excluded": lambda e: e.bt_excluded.__setitem__(1, not e.bt_excluded[1]),
+    "phase": lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT),
+    "_bt_queue": lambda e: e._bt_queue.append(0),
+    "_et_rotation": lambda e: e._et_rotation.append(0),
+    "_active": lambda e: setattr(e, "_active", None),
+}
+
+
+def test_every_key_field_changes_the_key():
+    assert set(PERTURB) == set(KEY_FIELDS)
+    for env in live_states():
+        key = state_key(env)
+        for name, perturb in PERTURB.items():
+            other = env.clone()
+            perturb(other)
+            assert state_key(other) != key, name
+
+
+def test_key_ignores_owners_and_splits_the_queues():
+    env = live_states()[-1]
+    recoloured = env.clone()
+    code = recoloured.occupancy.code
+    code[code > 0] = 200
+    assert state_key(recoloured) == state_key(env)
+    a, b = env.clone(), env.clone()
+    a._bt_queue, a._et_rotation = [0], []
+    b._bt_queue, b._et_rotation = [], [0]
+    assert state_key(a) != state_key(b)
+
+
+def plain_best(env: SchedulingEnv) -> tuple[float, tuple[int, ...]]:
+    """Reference: every action sequence in large-shape-first order, no
+    bound and no table; the first terminal state with the highest total."""
+    order = sorted(range(env.n_actions), key=lambda a: -env.shapes[a].area_units)
+    best = [-1.0, ()]
+
+    def walk(node, prefix):
+        if node.done:
+            total = node.total_qoe()
+            if total > best[0]:
+                best[:] = [total, prefix]
+            return
+        mask = node.feasible_actions()
+        for action in order:
+            if mask[action]:
+                child = node.clone()
+                child.step(action)
+                walk(child, prefix + (action,))
+
+    walk(env, ())
+    return best[0], best[1]
+
+
+@st.composite
+def micro_configs(draw):
+    n_ues = draw(st.integers(1, 2))
+    return tiny_config(
+        n_ues=n_ues,
+        grid=GridSpec(
+            mu_min=1,
+            mu_max=2,
+            frame_duration_ms=2.0 / 7.0,
+            system_bandwidth_khz=draw(st.sampled_from([720.0, 1080.0, 1440.0, 2880.0])),
+        ),
+        numerology_set=tuple(
+            draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2, unique=True))
+        ),
+        minislot_set=tuple(
+            draw(st.lists(st.sampled_from([2, 4, 7]), min_size=1, max_size=2, unique=True))
+        ),
+        min_qoe=tuple(draw(st.floats(0.5, 4.2)) for _ in range(n_ues)),
+        max_bwps_per_ue_tier=draw(st.integers(1, 2)),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def strip_configs(draw):
+    """Two users who are easily served, sharing enhancement BWPs along one
+    two-row strip: placing two lengths in either order fills the same
+    cells, so many states repeat and a key that merged unequal states
+    would change the answer."""
+    return tiny_config(
+        grid=GridSpec(
+            mu_min=1,
+            mu_max=2,
+            frame_duration_ms=2.0 / 7.0,
+            system_bandwidth_khz=draw(st.sampled_from([720.0, 1080.0])),
+        ),
+        numerology_set=(2,),
+        minislot_set=draw(st.sampled_from([(2, 4), (2, 7)])),
+        min_qoe=(draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 1.5))),
+        max_bwps_per_ue_tier=2,
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(config=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
+def test_oracle_matches_plain_enumeration(config, trial):
+    profiles = tuple(scenario_for_trial(config, trial))
+    env = SchedulingEnv(config)
+    env.reset(profiles=profiles)
+    total, actions = plain_best(env)
+    result = oracle_best_plan(config, profiles)
+    assert result.actions == actions
+    assert result.total_qoe == total
