@@ -46,6 +46,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.episodes < 0:
             raise ValueError("episodes must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.target_sync_steps < 1:
+            raise ValueError(
+                f"target_sync_steps must be at least 1, got {self.target_sync_steps}"
+            )
+        if self.replay_capacity < max(self.batch_size, self.train_start_size):
+            raise ValueError(
+                f"replay_capacity {self.replay_capacity} is below the warm-up of "
+                f"{max(self.batch_size, self.train_start_size)} transitions "
+                "(max of batch_size and train_start_size), so no step would learn"
+            )
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not self.grad_clip_norm > 0.0:
+            raise ValueError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
@@ -60,7 +76,23 @@ def epsilon_at(cfg: TrainConfig, episode: int) -> float:
 
 
 class ReplayBuffer:
-    """Ring buffer with compact storage (uint8 grids, float32 aux)."""
+    """Ring buffer with compact storage (uint8 grids, float32 aux).
+
+    ``sample`` gathers into arrays the buffer keeps, grown to the largest
+    batch drawn, so drawing a minibatch allocates no grids.
+    """
+
+    # field -> dtype of a drawn minibatch; action and reward widen
+    _DRAWN = {
+        "cell": np.uint8,
+        "aux": np.float32,
+        "action": np.int64,
+        "reward": np.float64,
+        "done": np.bool_,
+        "next_cell": np.uint8,
+        "next_aux": np.float32,
+        "next_mask": np.bool_,
+    }
 
     def __init__(self, capacity: int, grid_shape: tuple[int, int], aux_dim: int, n_actions: int):
         self.capacity = capacity
@@ -70,6 +102,7 @@ class ReplayBuffer:
         self.size = 0
         self.pos = 0
         self._allocated = 0
+        self._drawn: dict[str, np.ndarray] = {}
 
     def _ensure(self, n: int) -> None:
         # grow geometrically so short runs never pay for full capacity
@@ -106,17 +139,26 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """``batch`` uniform draws with replacement.
+
+        The arrays are views into the buffer's own storage: the next
+        ``sample`` overwrites them.
+        """
         idx = rng.integers(0, self.size, size=batch)
-        return {
-            "cell": self.cell[idx],
-            "aux": self.aux[idx],
-            "action": self.action[idx].astype(np.int64),
-            "reward": self.reward[idx].astype(np.float64),
-            "done": self.done[idx],
-            "next_cell": self.next_cell[idx],
-            "next_aux": self.next_aux[idx],
-            "next_mask": self.next_mask[idx],
-        }
+        if len(self._drawn.get("cell", ())) < batch:
+            self._drawn = {
+                name: np.empty((batch, *getattr(self, name).shape[1:]), dtype)
+                for name, dtype in self._DRAWN.items()
+            }
+        drawn = {}
+        for name, rows in self._drawn.items():
+            src, out = getattr(self, name), rows[:batch]
+            if src.dtype == out.dtype:  # idx is in range: "clip" never clips
+                np.take(src, idx, axis=0, out=out, mode="clip")
+            else:
+                out[:] = src[idx]
+            drawn[name] = out
+        return drawn
 
 
 def act_epsilon_greedy(
@@ -167,13 +209,19 @@ def _td_targets(
     batch: dict[str, np.ndarray],
     discount: float,
     n_ues: int,
+    grids: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Reward plus the discounted best feasible next-state Q of live rows.
+
+    ``grids`` (float32, at least B x 3 x F x T) receives the live rows'
+    observation channels; without it they are allocated.
+    """
     targets = batch["reward"].copy()
     live = ~batch["done"]
     if live.any():
         q_next = net.forward(
             target_params,
-            expand_cells(batch["next_cell"][live], n_ues),
+            expand_cells(batch["next_cell"][live], n_ues, out=grids),
             batch["next_aux"][live],
         )
         q_next = np.where(batch["next_mask"][live], q_next, -np.inf)
@@ -212,6 +260,12 @@ def train(
     optimizer = Adam(learning_rate=cfg.learning_rate)
     discount = env.reward_params.discount
     warmup = max(cfg.batch_size, cfg.train_start_size)
+    # one minibatch's observation channels: the next states' for the TD
+    # targets, then the states' for the gradient step
+    grids = np.empty(
+        (cfg.batch_size, net_config.grid_channels, dims.n_freq_units, dims.n_time_units),
+        np.float32,
+    )
 
     result = TrainResult(net=net, params=params)
     grad_steps = 0
@@ -238,10 +292,12 @@ def train(
 
             if buffer.size >= warmup:
                 batch = buffer.sample(cfg.batch_size, replay_rng)
-                targets = _td_targets(net, target_params, batch, discount, env.config.n_ues)
+                targets = _td_targets(
+                    net, target_params, batch, discount, env.config.n_ues, grids
+                )
                 _, grads = net.loss_and_grads(
                     params,
-                    expand_cells(batch["cell"], env.config.n_ues),
+                    expand_cells(batch["cell"], env.config.n_ues, out=grids),
                     batch["aux"],
                     batch["action"],
                     targets,
@@ -250,7 +306,8 @@ def train(
                 optimizer.update(params, grads)
                 grad_steps += 1
                 if grad_steps % cfg.target_sync_steps == 0:
-                    target_params = {k: v.copy() for k, v in params.items()}
+                    for name, value in params.items():
+                        np.copyto(target_params[name], value)
 
         metrics = EpisodeMetrics(
             episode=episode,

@@ -59,25 +59,32 @@ def serving_order(qoe_values: list[float]) -> list[int]:
     return [i for _, i in sorted(keyed)]
 
 
-def expand_cells(cell_code: np.ndarray, n_ues: int) -> np.ndarray:
+def expand_cells(
+    cell_code: np.ndarray, n_ues: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """uint8 cell codes -> float32 observation channels.
 
     Channel 0: occupancy, 1: owner index scaled to (0, 1], 2: enhancement
-    tier flag.  Works on a single (F, T) grid or a batch (B, F, T).
+    tier flag.  Works on a single (F, T) grid or a batch (B, F, T).  Given
+    ``out``, a float32 array of at least B rows of (3, F, T), a batch is
+    written into the leading rows, which are returned.
     """
     code = np.asarray(cell_code)
-    occupied = code > 0
-    owner = np.where(occupied, ((code.astype(np.int16) - 1) >> 1) + 1, 0)
-    tier_et = occupied & (((code - 1) & 1) == 1)
-    channels = np.stack(
-        [
-            occupied.astype(np.float32),
-            owner.astype(np.float32) / float(n_ues),
-            tier_et.astype(np.float32),
-        ],
-        axis=-3,
-    )
-    return channels
+    if out is None:
+        out = np.empty(code.shape[:-2] + (3,) + code.shape[-2:], np.float32)
+    else:
+        out = out[: code.shape[0]]
+    occupied, owner, tier_et = (out[..., c, :, :] for c in range(3))
+    # a free cell is 0; user u's cells are 1 + 2u (base tier), 2 + 2u (ET)
+    np.greater(code, 0, out=occupied)
+    np.add(code, 1, out=tier_et, dtype=np.float32)
+    np.multiply(tier_et, 0.5, out=owner)
+    np.floor(owner, out=owner)  # u + 1, or 0 when free
+    tier_et -= owner
+    tier_et -= owner  # (code + 1) mod 2: 1 for ET and free cells
+    tier_et *= occupied
+    owner /= n_ues  # rounded to float32, not computed in float64
+    return out
 
 
 # attribute types clone() copies instead of sharing; an exact-type set

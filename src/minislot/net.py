@@ -66,11 +66,64 @@ def _conv_out(size: int, kernel: int, stride: int) -> int:
     return out
 
 
+class _Workspace:
+    """Every array one forward/backward pass writes, for up to ``rows`` samples.
+
+    Batch-shaped arrays have ``rows`` leading rows and a pass of ``b`` samples
+    uses the first ``b``; conv arrays keep the (position, filter) layout the
+    conv matmul writes.  ``grads`` is in backward order, ``out`` and then
+    the dense and conv layers last to first: ``clip_global_norm`` sums the
+    squared norms in dict order, so the order is part of the result.
+    """
+
+    def __init__(self, net: QNetwork, rows: int):
+        cfg = net.config
+        self.rows = rows
+        self.patches, self.pre, self.act, self.mask = [], [], [], []
+        self.dz, self.dpatches, self.dx = [], [], []
+        in_ch, (h, w) = cfg.grid_channels, (cfg.grid_height, cfg.grid_width)
+        self.grid = np.empty((rows, in_ch, h, w)) if cfg.conv else None
+        for i, spec in enumerate(cfg.conv):
+            ho, wo = net.layer_dims[i]
+            taps = in_ch * spec.kernel * spec.kernel
+            last = i + 1 == len(cfg.conv)
+            self.patches.append(np.empty((rows, ho * wo, taps)))
+            self.pre.append(np.empty((rows, ho * wo, spec.filters)))
+            # the last conv's rectifier writes straight into concat
+            self.act.append(None if last else np.empty((rows, ho * wo, spec.filters)))
+            self.mask.append(np.empty((rows, ho * wo, spec.filters), bool))
+            self.dz.append(np.empty((rows, ho * wo, spec.filters)))
+            self.dpatches.append(np.empty((rows * ho * wo, taps)) if i else None)
+            self.dx.append(np.empty((rows, in_ch, h, w)) if i else None)
+            in_ch, (h, w) = spec.filters, (ho, wo)
+        # dense layer j's input is dense{j-1}'s output, or concat for j == 0;
+        # index len(dense) stands for the output layer
+        widths = (net.dense_in, *cfg.dense)
+        self.concat = np.empty((rows, net.dense_in))
+        self.dense_pre = [np.empty((rows, u)) for u in cfg.dense]
+        self.dense_act = [np.empty((rows, u)) for u in cfg.dense]
+        self.dense_mask = [np.empty((rows, u), bool) for u in cfg.dense]
+        self.dh = [np.empty((rows, width)) for width in widths]
+        self.dq = np.empty((rows, cfg.n_actions))
+        shapes = net.param_shapes()
+        order = ["out"]
+        order += [f"dense{i}" for i in reversed(range(len(cfg.dense)))]
+        order += [f"conv{i}" for i in reversed(range(len(cfg.conv)))]
+        self.grads = {
+            f"{layer}/{p}": np.empty(shapes[f"{layer}/{p}"])
+            for layer in order
+            for p in ("W", "b")
+        }
+
+
 class QNetwork:
-    """Parameter container plus pure forward/backward functions.
+    """Parameter container plus forward/backward functions.
 
     Parameters live in a plain dict of float64 arrays keyed by layer name,
     which keeps the optimiser, checkpointing and the gradient check simple.
+    Intermediate arrays live in one workspace, grown to the largest batch
+    seen and reused by every later call, so a pass allocates little more
+    than the Q-values it returns.
     """
 
     def __init__(self, config: NetConfig):
@@ -84,6 +137,28 @@ class QNetwork:
         channels = config.conv[-1].filters if config.conv else config.grid_channels
         self.flat_dim = channels * h * w
         self.dense_in = self.flat_dim + config.aux_dim
+        self._ws: _Workspace | None = None
+        # per sample, where each conv's patches (Ho, Wo, C, k, k) sit in its
+        # input as stored: conv0's (C, H, W) grid copy, a later conv's
+        # (Ho, Wo, F) rectifier output
+        self._taps: list[np.ndarray] = []
+        in_ch, h, w = config.grid_channels, config.grid_height, config.grid_width
+        for i, spec in enumerate(config.conv):
+            pos = np.arange(in_ch * h * w)
+            if i == 0:
+                pos = pos.reshape(in_ch, h, w)
+            else:
+                pos = pos.reshape(h, w, in_ch).transpose(2, 0, 1)
+            k, s = spec.kernel, spec.stride
+            windows = sliding_window_view(pos, (k, k), axis=(1, 2))[:, ::s, ::s]
+            self._taps.append(windows.transpose(1, 2, 0, 3, 4).reshape(-1))
+            in_ch, (h, w) = spec.filters, self.layer_dims[i]
+
+    def _workspace(self, batch: int) -> _Workspace:
+        if self._ws is None or self._ws.rows < batch:
+            self._ws = None  # let the old arrays go before the new ones exist
+            self._ws = _Workspace(self, batch)
+        return self._ws
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
@@ -117,15 +192,6 @@ class QNetwork:
 
     # ---------- forward ----------
 
-    def _conv_forward(self, x, w, b, spec):
-        # x: (B, C, H, W) -> patches (B, Ho*Wo, C*k*k) -> matmul
-        k, s = spec.kernel, spec.stride
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, :: s]
-        b_, c, ho, wo = windows.shape[:4]
-        patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b_, ho * wo, c * k * k)
-        z = patches @ w + b
-        return z.reshape(b_, ho, wo, spec.filters).transpose(0, 3, 1, 2), patches
-
     def forward(
         self,
         params: dict[str, np.ndarray],
@@ -133,38 +199,53 @@ class QNetwork:
         aux: np.ndarray,
         keep_cache: bool = False,
     ):
-        """Q-values (B, n_actions); optionally also the backward cache."""
-        x = np.ascontiguousarray(grid, dtype=np.float64)
-        aux = np.asarray(aux, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
+        """Q-values (B, n_actions); optionally also the backward cache.
+
+        The Q-values are a fresh array.  The cache points into the workspace
+        and holds until the next ``forward``.
+        """
+        grid = np.asarray(grid)
+        aux = np.asarray(aux)
+        if grid.ndim == 3:
+            grid = grid[None]
             aux = aux[None]
-        cache: dict = {"pre": [], "patches": [], "inputs": []}
+        batch = grid.shape[0]
+        ws = self._workspace(batch)
+        h = ws.concat[:batch]
+        flat = h[:, : self.flat_dim]
+        if self.config.conv:
+            x = ws.grid[:batch]
+            np.copyto(x, grid)
+            x = x.reshape(batch, -1)
+        else:
+            np.copyto(flat.reshape(grid.shape), grid)
         for i, spec in enumerate(self.config.conv):
-            z, patches = self._conv_forward(
-                x, params[f"conv{i}/W"], params[f"conv{i}/b"], spec
-            )
-            if keep_cache:
-                cache["patches"].append(patches)
-                cache["pre"].append(z)
-            x = np.maximum(z, 0.0)
-            if keep_cache:
-                cache["inputs"].append(x)
-        flat = x.reshape(x.shape[0], -1)
-        h = np.concatenate([flat, aux], axis=1)
-        if keep_cache:
-            cache["concat"] = h
+            # per-sample input -> patches (B, Ho*Wo, C*k*k) -> matmul; the
+            # taps are in range by construction, so "clip" never clips
+            patches = ws.patches[i][:batch]
+            np.take(x, self._taps[i], axis=1, out=patches.reshape(batch, -1), mode="clip")
+            z = ws.pre[i][:batch]
+            np.matmul(patches, params[f"conv{i}/W"], out=z)
+            z += params[f"conv{i}/b"]
+            if ws.act[i] is not None:
+                x = ws.act[i][:batch]
+                np.maximum(z, 0.0, out=x)
+                x = x.reshape(batch, -1)
+            else:
+                ho, wo = self.layer_dims[i]
+                z_maps = z.reshape(batch, ho, wo, spec.filters).transpose(0, 3, 1, 2)
+                np.maximum(z_maps, 0.0, out=flat.reshape(batch, spec.filters, ho, wo))
+        np.copyto(h[:, self.flat_dim :], aux)
         for i in range(len(self.config.dense)):
-            z = h @ params[f"dense{i}/W"] + params[f"dense{i}/b"]
-            if keep_cache:
-                cache["pre"].append(z)
-            h = np.maximum(z, 0.0)
-            if keep_cache:
-                cache["inputs"].append(h)
-        q = h @ params["out/W"] + params["out/b"]
+            z = ws.dense_pre[i][:batch]
+            np.matmul(h, params[f"dense{i}/W"], out=z)
+            z += params[f"dense{i}/b"]
+            h = ws.dense_act[i][:batch]
+            np.maximum(z, 0.0, out=h)
+        q = h @ params["out/W"]
+        q += params["out/b"]
         if keep_cache:
-            cache["q"] = q
-            return q, cache
+            return q, {"batch": batch}
         return q
 
     # ---------- backward ----------
@@ -175,54 +256,75 @@ class QNetwork:
         cache: dict,
         dq: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(q-values)."""
-        grads: dict[str, np.ndarray] = {}
-        n_conv = len(self.config.conv)
+        """Gradients of a scalar loss given d(loss)/d(q-values).
+
+        ``cache`` comes from the latest ``forward(..., keep_cache=True)``.
+        The returned arrays belong to the workspace.
+        """
+        ws = self._ws
+        batch = cache["batch"]
+        grads = ws.grads
         n_dense = len(self.config.dense)
 
-        h_last = cache["inputs"][-1] if n_dense else cache["concat"]
-        grads["out/W"] = h_last.T @ dq
-        grads["out/b"] = dq.sum(axis=0)
-        dh = dq @ params["out/W"].T
+        h_last = ws.dense_act[-1][:batch] if n_dense else ws.concat[:batch]
+        np.matmul(h_last.T, dq, out=grads["out/W"])
+        np.sum(dq, axis=0, out=grads["out/b"])
+        dh = ws.dh[n_dense][:batch]
+        np.matmul(dq, params["out/W"].T, out=dh)
 
         for i in range(n_dense - 1, -1, -1):
-            pre = cache["pre"][n_conv + i]
-            dz = dh * (pre > 0.0)
-            h_in = cache["inputs"][n_conv + i - 1] if i > 0 else cache["concat"]
-            grads[f"dense{i}/W"] = h_in.T @ dz
-            grads[f"dense{i}/b"] = dz.sum(axis=0)
-            dh = dz @ params[f"dense{i}/W"].T
+            mask = ws.dense_mask[i][:batch]
+            np.greater(ws.dense_pre[i][:batch], 0.0, out=mask)
+            dz = np.multiply(dh, mask, out=dh)
+            h_in = ws.dense_act[i - 1][:batch] if i > 0 else ws.concat[:batch]
+            np.matmul(h_in.T, dz, out=grads[f"dense{i}/W"])
+            np.sum(dz, axis=0, out=grads[f"dense{i}/b"])
+            dh = ws.dh[i][:batch]
+            np.matmul(dz, params[f"dense{i}/W"].T, out=dh)
 
-        dflat = dh[:, : self.flat_dim]
         if not self.config.conv:
-            return grads
-        batch = dq.shape[0]
+            return dict(grads)
         ch = self.config.conv[-1].filters
         h_out, w_out = self.layer_dims[-1]
-        dx = dflat.reshape(batch, ch, h_out, w_out)
-        for i in range(n_conv - 1, -1, -1):
+        dx = dh[:, : self.flat_dim].reshape(batch, ch, h_out, w_out)
+        for i in range(len(self.config.conv) - 1, -1, -1):
             spec = self.config.conv[i]
-            pre = cache["pre"][i]  # (B, F, Ho, Wo), same layout as dx
-            dz = dx * (pre > 0.0)
-            dz_flat = dz.transpose(0, 2, 3, 1).reshape(-1, spec.filters)
-            patches = cache["patches"][i].reshape(-1, cache["patches"][i].shape[-1])
-            grads[f"conv{i}/W"] = patches.T @ dz_flat
-            grads[f"conv{i}/b"] = dz_flat.sum(axis=0)
+            ho, wo = self.layer_dims[i]
+            # dz_flat is (B*Ho*Wo, F), row-major except for one sample,
+            # which is filter-major.  The bias sum's order follows the
+            # layout (row by row, or pairwise down each column), and these
+            # are the layouts every trained result so far was made with
+            dz = ws.dz[i][:batch]
+            if batch == 1:
+                dz_flat = dz.reshape(spec.filters, ho * wo).T
+            else:
+                dz_flat = dz.reshape(-1, spec.filters)
+            mask = ws.mask[i][:batch]
+            np.greater(ws.pre[i][:batch], 0.0, out=mask)
+            np.multiply(
+                dx.transpose(0, 2, 3, 1),
+                mask.reshape(batch, ho, wo, spec.filters),
+                out=dz_flat.reshape(batch, ho, wo, spec.filters),
+            )
+            patches = ws.patches[i][:batch].reshape(-1, ws.patches[i].shape[-1])
+            np.matmul(patches.T, dz_flat, out=grads[f"conv{i}/W"])
+            np.sum(dz_flat, axis=0, out=grads[f"conv{i}/b"])
             if i > 0:
-                dpatches = dz_flat @ params[f"conv{i}/W"].T
+                dpatches = ws.dpatches[i][: batch * ho * wo]
+                np.matmul(dz_flat, params[f"conv{i}/W"].T, out=dpatches)
                 dx = self._col2im(dpatches, i)
-        return grads
+        return dict(grads)
 
     def _col2im(self, dpatches: np.ndarray, layer: int) -> np.ndarray:
         """Scatter patch gradients back to the input map of conv ``layer``."""
         spec = self.config.conv[layer]
         in_ch = self.config.conv[layer - 1].filters
-        h_in, w_in = self.layer_dims[layer - 1]
         h_out, w_out = self.layer_dims[layer]
         batch = dpatches.shape[0] // (h_out * w_out)
         k, s = spec.kernel, spec.stride
         dcols = dpatches.reshape(batch, h_out, w_out, in_ch, k, k)
-        dx = np.zeros((batch, in_ch, h_in, w_in))
+        dx = self._ws.dx[layer][:batch]
+        dx.fill(0.0)
         for di in range(k):
             for dj in range(k):
                 dx[:, :, di : di + h_out * s : s, dj : dj + w_out * s : s] += (
@@ -240,14 +342,19 @@ class QNetwork:
         actions: np.ndarray,
         targets: np.ndarray,
     ):
-        """Mean squared TD error on the chosen actions' Q-values."""
+        """Mean squared TD error on the chosen actions' Q-values.
+
+        The gradient arrays belong to the network's workspace: they hold
+        until the next ``loss_and_grads`` call, which overwrites them.
+        """
         q, cache = self.forward(params, grid, aux, keep_cache=True)
         batch = q.shape[0]
-        picked = q[np.arange(batch), actions]
-        err = picked - targets
+        rows = np.arange(batch)
+        err = q[rows, actions] - targets
         loss = float(np.mean(err**2))
-        dq = np.zeros_like(q)
-        dq[np.arange(batch), actions] = 2.0 * err / batch
+        dq = self._ws.dq[:batch]
+        dq.fill(0.0)
+        dq[rows, actions] = 2.0 * err / batch
         return loss, self.backward(params, cache, dq)
 
 
@@ -256,7 +363,7 @@ class QNetwork:
 
 @dataclass
 class Adam:
-    """Adam with the standard bias correction."""
+    """Adam with the standard bias correction, updating in place."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -265,20 +372,35 @@ class Adam:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _scratch: dict = field(default_factory=dict, init=False, repr=False)
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
+        c1 = 1 - self.beta1**self.t
+        c2 = 1 - self.beta2**self.t
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g**2
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            params[name] -= (
-                self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-            )
+                self._scratch[name] = (np.empty_like(g), np.empty_like(g))
+            m, v = self.m[name], self.v[name]
+            step, tmp = self._scratch[name]
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=tmp)
+            m += tmp
+            v *= self.beta2
+            np.square(g, out=tmp)
+            tmp *= 1 - self.beta2
+            v += tmp
+            # params -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, c1, out=step)
+            step *= self.learning_rate
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step /= tmp
+            params[name] -= step
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -296,7 +418,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def _relu_signs(net: QNetwork, params, grid, aux) -> np.ndarray:
     _, cache = net.forward(params, grid, aux, keep_cache=True)
-    return np.concatenate([(z > 0).ravel() for z in cache["pre"]]) if cache["pre"] else np.zeros(0, bool)
+    pre = [z[: cache["batch"]] for z in net._ws.pre + net._ws.dense_pre]
+    return np.concatenate([(z > 0).ravel() for z in pre]) if pre else np.zeros(0, bool)
 
 
 def gradient_check(

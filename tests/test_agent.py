@@ -44,6 +44,20 @@ def test_train_config_validation():
         TrainConfig(epsilon_start=0.2, epsilon_end=0.5)
     with pytest.raises(ValueError):
         TrainConfig(epsilon_decay_fraction=0.0)
+    # the values the learner's buffers and schedule are sized from
+    for bad, message in (
+        (dict(batch_size=0), "batch_size"),
+        (dict(target_sync_steps=0), "target_sync_steps"),
+        (dict(replay_capacity=8, train_start_size=64), "replay_capacity"),
+        (dict(replay_capacity=16, batch_size=32, train_start_size=0), "replay_capacity"),
+        (dict(learning_rate=0.0), "learning_rate"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(grad_clip_norm=-1.0), "grad_clip_norm"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**bad)
+    edge = TrainConfig(batch_size=1, target_sync_steps=1, replay_capacity=64, train_start_size=64)
+    assert edge.replay_capacity == 64  # capacity equal to the warm-up is enough
 
 
 def test_zero_episodes_returns_untouched_initial_params():

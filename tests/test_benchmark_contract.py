@@ -16,3 +16,30 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     with spans.Tracer().installed():
         assert minislot.env.SchedulingEnv.__dict__["step"] is not step
     assert minislot.env.SchedulingEnv.__dict__["step"] is step
+
+
+LEARNER_SPANS = (
+    "net.forward.train",
+    "net.forward.target",
+    "net.backward",
+    "net.adam_update",
+    "net.clip_global_norm",
+    "env.expand_cells",
+    "agent.replay.sample",
+)
+
+
+def test_tracer_sees_every_learner_call(monkeypatch):
+    """A learner that routes around a traced name would read 0 on that
+    name's per-layer metrics without any other test failing."""
+    from minislot.agent import TrainConfig, train
+    from minislot.env import SchedulingEnv
+    from minislot.scenario import tiny_config
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    cfg = TrainConfig(episodes=2, batch_size=8, train_start_size=8, seed=0)
+    with spans.Tracer().installed() as tracer:
+        train(SchedulingEnv(tiny_config()), cfg)
+    for name in LEARNER_SPANS:
+        assert tracer.durations(name).size > 0, name

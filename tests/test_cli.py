@@ -146,6 +146,37 @@ def test_counts_below_one_fail_cleanly(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "environ, message",
+    [
+        ({"MINISLOT_TRAIN__TARGET_SYNC_STEPS": "0"}, "target_sync_steps must be at least 1"),
+        ({"MINISLOT_TRAIN__BATCH_SIZE": "0"}, "batch_size must be at least 1"),
+        ({"MINISLOT_TRAIN__REPLAY_CAPACITY": "8"}, "replay_capacity 8 is below the warm-up of 64"),
+        ({"MINISLOT_TRAIN__LEARNING_RATE": "0"}, "learning_rate must be positive"),
+        ({"MINISLOT_TRAIN__GRAD_CLIP_NORM": "-1"}, "grad_clip_norm must be positive"),
+        ({"MINISLOT_TRAIN__EPISODES": "1.5"}, "MINISLOT_TRAIN__EPISODES: train.episodes must be int"),
+        ({"MINISLOT_TRAIN__SEED": "true"}, "MINISLOT_TRAIN__SEED: train.seed must be int"),
+        ({"MINISLOT_SCENARIO__NUMEROLOGY_SET": "[1, 2.5]"}, "numerology_set[1] must be int"),
+    ],
+)
+def test_bad_train_overrides_fail_cleanly(environ, message, tmp_path, monkeypatch, capsys):
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(["train", "--tiny", "--episodes", "2", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_string_override_takes_the_raw_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MINISLOT_OUTPUT_DIR", "null")
+    assert main(["baseline", "--tiny", "--trials", "1"]) == 0
+    assert (tmp_path / "null").is_dir() and not (tmp_path / "None").exists()
+
+
 def test_config_and_tiny_conflict(tmp_path, capsys):
     code = main(["train", "--tiny", "--config", "x.json", "--out", str(tmp_path)])
     assert code == 1

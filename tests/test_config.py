@@ -64,13 +64,15 @@ def experiment_configs(draw):
         rng_seed=draw(counts),
     )
     reward = RewardParams(*(draw(reals) for _ in range(5)), max_steps=draw(counts))
+    batch_size = draw(st.integers(1, 10**6))
+    train_start_size = draw(counts)
     train = TrainConfig(
         episodes=draw(counts),
         learning_rate=draw(positive),
-        batch_size=draw(counts),
-        replay_capacity=draw(counts),
-        train_start_size=draw(counts),
-        target_sync_steps=draw(counts),
+        batch_size=batch_size,
+        replay_capacity=draw(st.integers(max(batch_size, train_start_size), 2 * 10**6)),
+        train_start_size=train_start_size,
+        target_sync_steps=draw(st.integers(1, 10**6)),
         epsilon_start=draw(st.floats(eps_end, 1.0)),
         epsilon_end=eps_end,
         epsilon_decay_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
@@ -162,6 +164,50 @@ def test_env_override_values_are_json_coerced():
     )
     assert config.scenario.cell_radius_m == 150.5
     assert config.output_dir == "plain/path"
+
+
+def test_env_override_values_must_fit_their_field():
+    base = default_experiment()
+    for name, text in (
+        ("MINISLOT_TRAIN__EPISODES", "1.5"),
+        ("MINISLOT_TRAIN__EPISODES", "true"),
+        ("MINISLOT_TRAIN__EPISODES", "null"),
+        ("MINISLOT_TRAIN__LEARNING_RATE", '"fast"'),
+        ("MINISLOT_N_EVAL_TRIALS", "[3]"),
+        ("MINISLOT_SCENARIO__MIN_QOE", "5"),
+        ("MINISLOT_SCENARIO__GRID", "1"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            apply_env_overrides(base, {name: text})
+    # a float field takes an int; an optional int takes null
+    assert apply_env_overrides(base, {"MINISLOT_TRAIN__LEARNING_RATE": "1"}).train.learning_rate == 1
+    assert apply_env_overrides(
+        base, {"MINISLOT_SCENARIO__MAX_BWPS_PER_UE_TIER": "null"}
+    ).scenario.max_bwps_per_ue_tier is None
+
+
+def test_string_override_keeps_its_text():
+    base = default_experiment()
+    for text, expected in (("null", "null"), ("1e5", "1e5"), ("true", "true"),
+                           ("[1]", "[1]"), ('"quoted"', "quoted"), ("runs/x", "runs/x")):
+        assert apply_env_overrides(base, {"MINISLOT_OUTPUT_DIR": text}).output_dir == expected
+
+
+def test_from_dict_checks_value_types():
+    for path, value in (
+        (("n_eval_trials",), 2.0),
+        (("output_dir",), None),
+        (("train", "batch_size"), "32"),
+        (("scenario", "grid", "mu_min"), True),
+        (("scenario", "numerology_set"), 1),
+    ):
+        raw = to_dict(default_experiment())
+        node = raw
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match="malformed.*" + path[-1]):
+            from_dict(raw)
 
 
 def test_env_override_still_validates():
