@@ -125,6 +125,12 @@ def main(argv=None) -> int:
             raise ValueError(f"training needs at least 1 episode, got {config.train.episodes}")
         if args.command != "train" and config.n_eval_trials < 1:
             raise ValueError(f"evaluation needs at least 1 trial, got {config.n_eval_trials}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs needs at least 1 worker, got {args.jobs}")
+        if args.command == "eval":
+            methods = tuple(m for m in args.methods.split(",") if m)
+            if not methods:
+                raise ValueError(f"--methods names no method: {args.methods!r}")
         out = args.out or config.output_dir
         command = " ".join(["minislot"] + (argv if argv is not None else sys.argv[1:]))
 
@@ -139,7 +145,6 @@ def main(argv=None) -> int:
                 f"final reward {last.total_reward:.3f}; checkpoint {checkpoint}"
             )
         elif args.command == "eval":
-            methods = tuple(m for m in args.methods.split(",") if m)
             rows = run_eval(
                 config,
                 out,

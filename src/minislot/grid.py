@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -186,16 +187,50 @@ def allocations_overlap(a: BwpAllocation, b: BwpAllocation) -> bool:
 
 def validate_allocation_set(allocations: list[BwpAllocation], dims: GridDims) -> bool:
     """True iff every allocation is in bounds and no two overlap."""
+    n_freq = dims.n_freq_units
+    painted = 0  # cells taken so far, one bit per cell as in Occupancy
     for alloc in allocations:
         if alloc.time_offset_units < 0 or alloc.freq_offset_units < 0:
             return False
-        if alloc.time_end > dims.n_time_units or alloc.freq_end > dims.n_freq_units:
+        if alloc.time_end > dims.n_time_units or alloc.freq_end > n_freq:
             return False
-    for i, a in enumerate(allocations):
-        for b in allocations[i + 1 :]:
-            if allocations_overlap(a, b):
-                return False
+        rows = ((1 << alloc.shape.freq_width_units) - 1) << alloc.freq_offset_units
+        cells = rows * _repeat(n_freq, alloc.shape.time_len_units)
+        cells <<= alloc.time_offset_units * n_freq
+        if painted & cells:
+            return False
+        painted |= cells
     return True
+
+
+@cache
+def _repeat(n_freq: int, n_time: int) -> int:
+    """A bit at row 0 of each of the first ``n_time`` columns.  Times a
+    pattern of rows in one column, it repeats that pattern in each of them."""
+    return ((1 << (n_freq * n_time)) - 1) // ((1 << n_freq) - 1)
+
+
+def _doubling(length: int, unit: int) -> tuple[int, ...]:
+    """Right shifts, ``unit`` bits per cell, that grow a run of one cell to
+    ``length`` cells when each is ANDed in turn: 1, 2, 4, ..., then the rest."""
+    shifts, span = [], 1
+    while span < length:
+        step = min(span, length - span)
+        shifts.append(step * unit)
+        span += step
+    return tuple(shifts)
+
+
+@cache
+def _fit_plan(n_freq: int, n_time: int, width: int, length: int):
+    """For a ``width`` x ``length`` shape on an F x T grid: the shifts along
+    frequency, the cells where the shape may start (rows 0..F-width, as a
+    run from a higher row spills into the next column) and the shifts along
+    time.  None when the shape is larger than the grid."""
+    if width > n_freq or length > n_time:
+        return None
+    starts = ((1 << (n_freq - width + 1)) - 1) * _repeat(n_freq, n_time)
+    return _doubling(width, 1), starts, _doubling(length, n_freq)
 
 
 class Occupancy:
@@ -203,27 +238,20 @@ class Occupancy:
 
     The caller picks the non-zero code each placement paints; the
     environment encodes owner and tier (see ``env.expand_cells``).
-    Paint only through ``mark``/``place``: first-fit answers are cached
-    per grid state and ``mark`` is what drops them.
+    First fit reads a bitmask of the free cells, built from the codes once
+    per grid state; paint only through ``mark``/``place``, which drop it.
     """
 
     def __init__(self, dims: GridDims):
         self.dims = dims
         self.code = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=np.uint8)
-        self._forget()
-
-    def _forget(self) -> None:
-        # a copy shares both until either side marks: the image is never
-        # written in place, and the answers hold for the state they share
-        self._csum: np.ndarray | None = None  # integral image, see find_first_fit
-        self._fits: dict[tuple[int, int], tuple[int, int] | None] = {}
+        self._free: int | None = None
 
     def copy(self) -> "Occupancy":
         clone = Occupancy.__new__(Occupancy)
         clone.dims = self.dims
         clone.code = self.code.copy()
-        clone._csum = self._csum
-        clone._fits = self._fits
+        clone._free = self._free  # an int: shared until either side marks
         return clone
 
     def free_units(self) -> int:
@@ -232,34 +260,27 @@ class Occupancy:
     def find_first_fit(self, shape: BwpShape) -> tuple[int, int] | None:
         """First position fitting ``shape``: minimum time offset, then
         minimum frequency offset.  Returns (time_offset, freq_offset)."""
-        fw, tl = shape.freq_width_units, shape.time_len_units
-        if (fw, tl) in self._fits:
-            return self._fits[fw, tl]
         n_freq, n_time = self.code.shape
-        if fw > n_freq or tl > n_time:
+        plan = _fit_plan(n_freq, n_time, shape.freq_width_units, shape.time_len_units)
+        if plan is None:
             return None
-        # integral image of the codes, time-major; they are non-negative, so
-        # a window sums to zero exactly when every cell in it is free.  It is
-        # built once per grid state and shared by every shape tried on it.
-        csum = self._csum
-        if csum is None:
-            csum = np.zeros((n_time + 1, n_freq + 1), dtype=np.int64)
-            np.cumsum(self.code.T, axis=0, out=csum[1:, 1:])
-            np.cumsum(csum[1:, 1:], axis=1, out=csum[1:, 1:])
-            self._csum = csum
-        window = (
-            csum[tl:, fw:]
-            - csum[:-tl, fw:]
-            - csum[tl:, :-fw]
-            + csum[:-tl, :-fw]
-        )
-        # row-major over (time offset, freq offset): the first free window
-        # has the least time offset, then the least frequency offset
-        free = (window == 0).ravel()
-        first = int(free.argmax())
-        pos = divmod(first, window.shape[1]) if free[first] else None
-        self._fits[fw, tl] = pos
-        return pos
+        # bit t*F + f is set when cell (f, t) is free: bit order is time
+        # order, then frequency order, so the lowest bit left set below is
+        # the first fit.  ANDing with a copy shifted right by k keeps bit i
+        # only where cell i + k is free as well.
+        fits = self._free
+        if fits is None:
+            bits = np.packbits(self.code.T == 0, bitorder="little")
+            fits = self._free = int.from_bytes(bits.tobytes(), "little")
+        freq_shifts, starts, time_shifts = plan
+        for k in freq_shifts:
+            fits &= fits >> k
+        fits &= starts
+        for k in time_shifts:
+            fits &= fits >> k
+        if not fits:
+            return None
+        return divmod((fits & -fits).bit_length() - 1, n_freq)
 
     def mark(self, time_offset: int, freq_offset: int, shape: BwpShape, code: int) -> None:
         """Paint ``code`` (1-255) over the shape's cells, which must be free."""
@@ -273,7 +294,7 @@ class Occupancy:
                 f"existing allocation"
             )
         region[:] = code
-        self._forget()
+        self._free = None
 
     def place(self, shape: BwpShape, code: int) -> tuple[int, int] | None:
         """Find-and-mark in one call; None when the shape fits nowhere."""

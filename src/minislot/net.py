@@ -403,9 +403,24 @@ class Adam:
             params[name] -= step
 
 
+# room for the float64 squares of the largest gradient, kept across calls
+_squares = np.empty(0)
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm of ``max_norm``."""
-    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads.values())))
+    global _squares
+    largest = max((g.size for g in grads.values()), default=0)
+    if _squares.size < largest:
+        _squares = np.empty(largest)
+    total = 0.0
+    for g in grads.values():
+        # (g * g).sum() in kept memory: the gradients are C-ordered float64,
+        # as g**2 would be, so the sum adds in the same order
+        square = _squares[: g.size].reshape(g.shape)
+        np.multiply(g, g, out=square)
+        total += float(square.sum())
+    total = float(np.sqrt(total))
     if total > max_norm and total > 0.0:
         scale = max_norm / total
         for g in grads.values():

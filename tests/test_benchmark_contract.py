@@ -43,3 +43,26 @@ def test_tracer_sees_every_learner_call(monkeypatch):
         train(SchedulingEnv(tiny_config()), cfg)
     for name in LEARNER_SPANS:
         assert tracer.durations(name).size > 0, name
+
+
+GRID_SPANS = (
+    "grid.find_first_fit",
+    "env.step",
+    "env.clone",
+    "baselines.equal_time_frequency_plan",
+)
+
+
+def test_tracer_sees_every_grid_call(monkeypatch, tmp_path):
+    """The same for the grid: a placement or clone that skips a traced name
+    would read 0 on the grid's per-layer metrics."""
+    from minislot.config import tiny_experiment
+    from minislot.runner import EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, ORACLE, run_eval
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    methods = (EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, ORACLE)
+    with spans.Tracer().installed() as tracer:
+        run_eval(tiny_experiment(), str(tmp_path), methods=methods, n_trials=1)
+    for name in GRID_SPANS:
+        assert tracer.durations(name).size > 0, name

@@ -128,6 +128,13 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
         (["oracle", "--tiny", "--trials", "0"], {}, None, "at least 1 trial"),
         (["baseline", "--tiny"], {"MINISLOT_N_EVAL_TRIALS": "0"}, None, "at least 1 trial"),
         (["oracle"], {}, replace(tiny_experiment(), n_eval_trials=-1), "at least 1 trial"),
+        (["eval", "--tiny", "--trials", "2", "--methods", ","], {}, None, "no method: ','"),
+        (["eval", "--tiny", "--trials", "2", "--methods", ""], {}, None, "no method: ''"),
+        (
+            ["eval", "--tiny", "--trials", "2", "--methods", "equal_bandwidth", "--jobs", "0"],
+            {}, None, "at least 1 worker, got 0",
+        ),
+        (["oracle", "--tiny", "--trials", "2", "--jobs", "-2"], {}, None, "at least 1 worker, got -2"),
     ],
 )
 def test_counts_below_one_fail_cleanly(

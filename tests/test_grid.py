@@ -144,10 +144,25 @@ def test_shape_too_large_for_grid():
     assert occ.find_first_fit(BwpShape(mu=2, eta=14, time_len_units=14, freq_width_units=16)) is None
 
 
+def _scan_first_fit(code, shape):
+    for t in range(code.shape[1] - shape.time_len_units + 1):
+        for f in range(code.shape[0] - shape.freq_width_units + 1):
+            window = code[f : f + shape.freq_width_units, t : t + shape.time_len_units]
+            if not window.any():
+                return t, f
+    return None
+
+
 def test_occupancy_copy_is_independent():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
     occ.place(bwp_shape(4, 2, DEFAULT), 1)
+    shapes = [bwp_shape(mu, eta, DEFAULT) for mu in (4, 5, 6) for eta in (2, 4, 7, 14)]
+    before = [occ.find_first_fit(s) for s in shapes]  # the copy starts from these
     clone = occ.copy()
     clone.place(bwp_shape(4, 2, DEFAULT), 1)
     assert clone.free_units() == occ.free_units() - 8
+    clone.place(bwp_shape(6, 7, DEFAULT), 2)
+    for shape, answer in zip(shapes, before):
+        assert occ.find_first_fit(shape) == _scan_first_fit(occ.code, shape) == answer
+        assert clone.find_first_fit(shape) == _scan_first_fit(clone.code, shape)

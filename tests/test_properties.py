@@ -2,13 +2,24 @@
 against simple reference implementations, on generated configs and
 generated masked action sequences."""
 
+from itertools import combinations
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minislot.env import SchedulingEnv
-from minislot.grid import BwpShape, GridDims, GridSpec, Occupancy, Tier
+from minislot.grid import (
+    BwpAllocation,
+    BwpShape,
+    GridDims,
+    GridSpec,
+    Occupancy,
+    Tier,
+    allocations_overlap,
+    validate_allocation_set,
+)
 from minislot.qoe import evaluate_ue
 from minislot.scenario import scenario_for_trial, tiny_config
 
@@ -113,3 +124,58 @@ def test_first_fit_matches_brute_force(code, fw, tl):
     while (pos := occ.find_first_fit(shape)) is not None:
         occ.mark(*pos, shape, 7)
         assert occ.find_first_fit(shape) == brute_force_first_fit(occ.code, fw, tl)
+
+
+def _at(t, f, tl, fw):
+    shape = BwpShape(mu=0, eta=1, time_len_units=tl, freq_width_units=fw)
+    return BwpAllocation(0, Tier.BT, shape, t, f)
+
+
+@st.composite
+def allocation_sets(draw):
+    """A grid of more than 64 cells and allocations on it: some inside it,
+    some against or across an earlier one or at the bottom or top row
+    (kept inside), some anywhere, out of bounds and at negative offsets
+    included."""
+    n_freq, n_time = draw(st.integers(2, 12)), draw(st.integers(33, 80))
+    allocations = []
+    for _ in range(draw(st.integers(0, 8))):
+        fw, tl = draw(st.integers(1, min(4, n_freq))), draw(st.integers(1, 16))
+        where = draw(st.sampled_from(["inside", "against", "against", "anywhere"]))
+        if where == "against" and allocations:
+            other = draw(st.sampled_from(allocations))
+            t0, t1 = other.time_offset_units, other.time_end
+            f0, f1 = other.freq_offset_units, other.freq_end
+            t = draw(st.sampled_from([t0 - tl, t0 - tl + 1, t0, t1 - 1, t1]))
+            f = draw(st.sampled_from([f0 - fw, f0 - fw + 1, f0, f1 - 1, f1, 0, n_freq - fw]))
+            t, f = min(max(t, 0), n_time - tl), min(max(f, 0), n_freq - fw)
+        elif where == "anywhere":
+            t, f = draw(st.integers(-2, n_time)), draw(st.integers(-2, n_freq))
+        else:
+            t, f = draw(st.integers(0, n_time - tl)), draw(st.integers(0, n_freq - fw))
+        allocations.append(_at(t, f, tl, fw))
+    return GridDims(n_time_units=n_time, n_freq_units=n_freq, rb_size_shz=1.0), allocations
+
+
+def pairwise_valid(allocations, dims) -> bool:
+    in_bounds = all(
+        a.time_offset_units >= 0
+        and a.freq_offset_units >= 0
+        and a.time_end <= dims.n_time_units
+        and a.freq_end <= dims.n_freq_units
+        for a in allocations
+    )
+    return in_bounds and not any(
+        allocations_overlap(a, b) for a, b in combinations(allocations, 2)
+    )
+
+
+# the top row of one column and the bottom row of the next are neighbours
+# in the bit order, not on the grid
+@example(case=(GridDims(40, 3, 1.0), [_at(0, 2, 2, 1), _at(2, 0, 1, 1)]))
+@example(case=(GridDims(40, 3, 1.0), [_at(0, 1, 2, 2), _at(1, 0, 1, 1)]))
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=allocation_sets())
+def test_validate_allocation_set_matches_pairwise_reference(case):
+    dims, allocations = case
+    assert validate_allocation_set(allocations, dims) == pairwise_valid(allocations, dims)
