@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .baselines import AllocationPlan
 from .env import SchedulingEnv, expand_cells
 from .net import Adam, ConvSpec, NetConfig, QNetwork, clip_global_norm, default_net_config
 from .scenario import (
@@ -325,40 +326,22 @@ def train(
     return result
 
 
-@dataclass(frozen=True)
-class RolloutResult:
-    total_reward: float
-    steps: int
-    served: tuple[bool, ...]
-    total_qoe: float
-    per_ue_qoe: tuple[float, ...]
-    outcome: str
-
-
 def greedy_rollout(
     env: SchedulingEnv,
     net: QNetwork,
     params: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     profiles=None,
-) -> RolloutResult:
-    """Play one episode with the greedy masked policy."""
+) -> AllocationPlan:
+    """Play one episode with the greedy masked policy; ``env`` keeps the
+    finished episode (its outcome, steps and bookkeeping)."""
     env.reset(rng=rng, profiles=profiles)
-    total_reward = 0.0
     while not env.done:
         cell, aux = env.compact_observation()
         mask = env.feasible_actions()
         q = net.forward(params, expand_cells(cell, env.config.n_ues), aux)[0]
-        reward, _ = env.step(int(np.argmax(np.where(mask, q, -np.inf))))
-        total_reward += reward
-    return RolloutResult(
-        total_reward=total_reward,
-        steps=env.step_count,
-        served=tuple(bool(s) for s in env.served),
-        total_qoe=env.total_qoe(),
-        per_ue_qoe=tuple(env.per_ue_qoe()),
-        outcome=env.outcome or "",
-    )
+        env.step(int(np.argmax(np.where(mask, q, -np.inf))))
+    return env.plan()
 
 
 # ---------- checkpointing ----------

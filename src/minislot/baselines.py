@@ -130,30 +130,3 @@ def equal_time_frequency_plan(
         profiles,
         [(Tier.BT, 0, half), (Tier.ET, half, dims.n_time_units - half)],
     )
-
-
-def plan_to_trace(plan: AllocationPlan) -> list[dict]:
-    """Plan as step records, same schema the environment emits."""
-    records = []
-    for t, alloc in enumerate(plan.allocations):
-        records.append(
-            {
-                "t": t,
-                "ue": alloc.ue_index,
-                "tier": alloc.tier.value,
-                "action": {"mu": alloc.shape.mu, "eta": alloc.shape.eta},
-                "placement": {
-                    "time_offset": alloc.time_offset_units,
-                    "freq_offset": alloc.freq_offset_units,
-                    "time_len": alloc.shape.time_len_units,
-                    "freq_width": alloc.shape.freq_width_units,
-                },
-                "reward": 0.0,
-                "branch": "plan",
-                "q_tilde": [
-                    0.0 if r.q_combined != r.q_combined else r.q_combined
-                    for r in plan.reports
-                ],
-            }
-        )
-    return records

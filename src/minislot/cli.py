@@ -123,10 +123,6 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         if args.command == "train" and config.train.episodes < 1:
             raise ValueError(f"training needs at least 1 episode, got {config.train.episodes}")
-        if args.command != "train" and config.n_eval_trials < 1:
-            raise ValueError(f"evaluation needs at least 1 trial, got {config.n_eval_trials}")
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"--jobs needs at least 1 worker, got {args.jobs}")
         if args.command == "eval":
             methods = tuple(m for m in args.methods.split(",") if m)
             if not methods:

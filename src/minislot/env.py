@@ -17,13 +17,12 @@ episode as soon as some user provably cannot reach its minimum QoE.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import equal_time_frequency_plan
+from .baselines import AllocationPlan, equal_time_frequency_plan
 from .grid import BwpAllocation, BwpShape, Occupancy, Tier, bwp_shape
 from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
 # perfbench/spans.py counts calls through these module globals
@@ -99,11 +98,9 @@ class SchedulingEnv:
         self,
         config: ScenarioConfig,
         reward: RewardParams | None = None,
-        record_trace: bool = False,
     ):
         self.config = config
         self.reward_params = reward or RewardParams()
-        self.record_trace = record_trace
         self.dims = config.dims()
         self.action_set: tuple[tuple[int, int], ...] = tuple(
             (mu, eta) for mu in config.numerology_set for eta in config.minislot_set
@@ -153,7 +150,6 @@ class SchedulingEnv:
         self.step_count = 0
         self.done = False
         self.outcome = None
-        self.trace: list[dict] = []
 
         equal_split = equal_time_frequency_plan(cfg, profiles)
         self.order = serving_order([r.q_combined for r in equal_split.reports])
@@ -225,29 +221,8 @@ class SchedulingEnv:
             reward = (
                 rp.success_bonus if terminal == "success" else rp.violation_penalty
             )
-            branch = terminal
         else:
             reward = rp.qoe_weight * delta + (1.0 - rp.qoe_weight) * rp.time_penalty
-            branch = "delta"
-
-        if self.record_trace:
-            self.trace.append(
-                {
-                    "t": self.step_count - 1,
-                    "ue": ue,
-                    "tier": tier.value,
-                    "action": {"mu": shape.mu, "eta": shape.eta},
-                    "placement": {
-                        "time_offset": pos[0],
-                        "freq_offset": pos[1],
-                        "time_len": shape.time_len_units,
-                        "freq_width": shape.freq_width_units,
-                    },
-                    "reward": reward,
-                    "branch": branch,
-                    "q_tilde": [self._q_tilde_or_zero(i) for i in range(len(self.profiles))],
-                }
-            )
         return reward, self.done
 
     # ---------- cursor resolution ----------
@@ -371,23 +346,17 @@ class SchedulingEnv:
         aux[5 * n + 1] = self.step_count / self.reward_params.max_steps
         return self.occupancy.code.copy(), aux
 
-    def per_ue_qoe(self) -> list[float]:
-        """Combined QoE per user, counting unserved users as zero."""
-        return [
-            self._q_tilde_or_zero(ue) if self.served[ue] else 0.0
-            for ue in range(self.config.n_ues)
-        ]
-
     def total_qoe(self) -> float:
         """Sum of combined QoE over served users only."""
         return float(
             sum(self._q_tilde_or_zero(ue) for ue in range(self.config.n_ues) if self.served[ue])
         )
 
-    def reports(self):
-        """Recompute per-user QoE reports from accumulated bits (the serving
-        flags must agree with the protocol's own bookkeeping)."""
-        return [
+    def plan(self) -> AllocationPlan:
+        """The episode's placements with per-user QoE reports recomputed from
+        the accumulated bits (the serving flags must agree with the
+        protocol's own bookkeeping)."""
+        reports = tuple(
             evaluate_ue(
                 self.bt_bits[ue],
                 self.et_bits[ue],
@@ -395,24 +364,18 @@ class SchedulingEnv:
                 self.profiles[ue].qoe,
             )
             for ue in range(self.config.n_ues)
-        ]
-
-    def export_trace(self, fileobj) -> None:
-        """Write the recorded episode trace as JSON lines."""
-        for record in self.trace:
-            fileobj.write(json.dumps(record) + "\n")
+        )
+        return AllocationPlan(tuple(self.allocations), reports)
 
     def clone(self) -> "SchedulingEnv":
         """Independent copy of the live episode (used by exhaustive search).
 
         Every array, list and grid attribute is copied, whatever ``reset()``
-        set; the copy records no trace.
+        set.
         """
         other = SchedulingEnv.__new__(SchedulingEnv)
         state = other.__dict__ = self.__dict__.copy()
         for name, value in state.items():
             if type(value) in _COPIED_TYPES:
                 state[name] = value.copy()
-        other.record_trace = False
-        other.trace = []
         return other

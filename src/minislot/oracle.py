@@ -44,8 +44,6 @@ class OracleCaps:
 @dataclass(frozen=True)
 class OracleResult:
     plan: AllocationPlan
-    total_qoe: float
-    served: tuple[bool, ...]
     actions: tuple[int, ...]
     # every expanded child, repeated states included; the node budget thus
     # bounds both the work and the size of the table of seen states
@@ -101,12 +99,12 @@ def state_key(env: SchedulingEnv) -> bytes:
 
 class _Search:
     def __init__(self, env: SchedulingEnv, caps: OracleCaps):
-        self.env = env
         self.caps = caps
         self.nodes = 0
         self.seen: set[bytes] = set()
         self.best_qoe = -1.0
         self.best_actions: tuple[int, ...] = ()
+        self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
         cfg = env.config
         rb = env.dims.rb_size_shz
         self.bits_per_cell = np.array(
@@ -141,6 +139,7 @@ class _Search:
             if qoe > self.best_qoe:
                 self.best_qoe = qoe
                 self.best_actions = prefix
+                self.best_env = env
             return
         key = state_key(env)
         if key in self.seen:
@@ -183,19 +182,8 @@ def oracle_best_plan(
     env.reset(profiles=profiles)
     search = _Search(env, caps)
     search.run(env.clone(), ())
-
-    final = SchedulingEnv(config)
-    final.reset(profiles=profiles)
-    for action in search.best_actions:
-        final.step(action)
-    plan = AllocationPlan(
-        allocations=tuple(final.allocations),
-        reports=tuple(final.reports()),
-    )
     return OracleResult(
-        plan=plan,
-        total_qoe=final.total_qoe(),
-        served=tuple(bool(s) for s in final.served),
+        plan=search.best_env.plan(),
         actions=search.best_actions,
         nodes=search.nodes,
     )

@@ -20,12 +20,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(linear: float) -> float:
-    if linear <= 0:
-        raise ValueError(f"cannot convert non-positive value {linear} to dB")
-    return 10.0 * math.log10(linear)
-
-
 def dbm_per_hz_to_w_per_hz(dbm: float) -> float:
     return db_to_linear(dbm - 30.0)
 

@@ -27,8 +27,8 @@ ORACLE = "oracle"
 ALL_METHODS = (DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, ORACLE)
 
 
-def build_env(config: ExperimentConfig, record_trace: bool = False) -> SchedulingEnv:
-    return SchedulingEnv(config.scenario, reward=config.reward, record_trace=record_trace)
+def build_env(config: ExperimentConfig) -> SchedulingEnv:
+    return SchedulingEnv(config.scenario, reward=config.reward)
 
 
 def _manifest(config: ExperimentConfig, command: str) -> dict:
@@ -96,10 +96,16 @@ def run_eval(
     filename: str = "eval.csv",
 ) -> list[dict]:
     """Evaluate the requested methods on a shared set of sampled trials."""
+    if not methods:
+        raise ValueError("no methods to evaluate")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     n_trials = config.n_eval_trials if n_trials is None else n_trials
+    if n_trials < 1:
+        raise ValueError(f"evaluation needs at least 1 trial, got {n_trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs needs at least 1 worker, got {jobs}")
 
     rows: list[dict] = []
     if DQN in methods:
@@ -117,16 +123,8 @@ def run_eval(
             )
         for trial in range(n_trials):
             profiles = scenario_for_trial(config.scenario, trial)
-            roll = greedy_rollout(env, net, params, profiles=profiles)
-            rows.append(
-                {
-                    "trial": trial,
-                    "method": DQN,
-                    "total_qoe": roll.total_qoe,
-                    "served_count": sum(roll.served),
-                    "per_ue_qoe": list(roll.per_ue_qoe),
-                }
-            )
+            plan = greedy_rollout(env, net, params, profiles=profiles)
+            rows.append(_plan_row(trial, DQN, plan))
     for trial in range(n_trials):
         profiles = scenario_for_trial(config.scenario, trial)
         if EQUAL_BANDWIDTH in methods:

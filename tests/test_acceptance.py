@@ -79,7 +79,7 @@ def default_eval(default_policy):
         profiles = scenario_for_trial(config, trial)
         roll = greedy_rollout(env, default_policy.net, default_policy.params, profiles=profiles)
         dqn.append(roll.total_qoe)
-        served.append(sum(roll.served) / len(roll.served))
+        served.append(roll.served_count / len(roll.reports))
         bw_plan = equal_bandwidth_plan(config, profiles)
         tf_plan = equal_time_frequency_plan(config, profiles)
         bw.append(bw_plan.total_qoe)
@@ -259,13 +259,13 @@ def test_criterion_08_oracle_near_optimality(tiny_policy):
     n_trials = 20
     for trial in range(n_trials):
         profiles = tuple(scenario_for_trial(config, trial))
-        best = oracle_best_plan(config, profiles)
+        best = oracle_best_plan(config, profiles).plan.total_qoe
         roll = greedy_rollout(env, tiny_policy.net, tiny_policy.params, profiles=profiles)
         bw = equal_bandwidth_plan(config, profiles).total_qoe
         tf = equal_time_frequency_plan(config, profiles).total_qoe
-        if best.total_qoe >= bw - 1e-9 and best.total_qoe >= tf - 1e-9:
+        if best >= bw - 1e-9 and best >= tf - 1e-9:
             dominated += 1
-        ratio = roll.total_qoe / best.total_qoe if best.total_qoe > 0 else 1.0
+        ratio = roll.total_qoe / best if best > 0 else 1.0
         if ratio >= 0.9:
             near_optimal += 1
     ok = dominated == n_trials and near_optimal >= 14

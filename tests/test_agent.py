@@ -220,11 +220,15 @@ def test_greedy_rollout_reports_episode_outcome():
     env = tiny_env()
     profiles = scenario_for_trial(env.config, 123)
     one = greedy_rollout(env, result.net, result.params, profiles=profiles)
+    outcome = env.outcome
     two = greedy_rollout(env, result.net, result.params, profiles=profiles)
     assert one == two  # same policy, same scenario
-    assert one.outcome in ("success", "violation")
-    assert len(one.per_ue_qoe) == 2
-    assert one.total_qoe == pytest.approx(sum(one.per_ue_qoe), rel=1e-12)
+    assert outcome in ("success", "violation") and env.outcome == outcome
+    # the plan is the finished episode the env keeps
+    assert one.allocations == tuple(env.allocations)
+    assert len(one.reports) == 2
+    assert [r.served for r in one.reports] == env.served.tolist()
+    assert one.total_qoe == env.total_qoe()
 
 
 def test_checkpoint_roundtrip(tmp_path):

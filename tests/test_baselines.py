@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -7,7 +6,6 @@ from minislot.baselines import (
     band_rows,
     equal_bandwidth_plan,
     equal_time_frequency_plan,
-    plan_to_trace,
 )
 from minislot.grid import Tier, validate_allocation_set
 from minislot.scenario import default_config, scenario_for_trial, tiny_config
@@ -135,13 +133,3 @@ def test_time_frequency_minus_bandwidth_matches_closed_form():
             assert gap > 0.0  # rho >= 0.6 here, above the 0.46 crossover
             assert r_tf.q_combined - r_bw.q_combined == pytest.approx(gap, abs=1e-12)
         assert tf.total_qoe > bw.total_qoe
-
-
-def test_plan_trace_is_json_serializable():
-    cfg = tiny_config()
-    plan = equal_bandwidth_plan(cfg, scenario_for_trial(cfg, 0))
-    records = plan_to_trace(plan)
-    assert len(records) == len(plan.allocations)
-    for record in records:
-        assert record["branch"] == "plan"
-        json.dumps(record)

@@ -66,3 +66,44 @@ def test_tracer_sees_every_grid_call(monkeypatch, tmp_path):
         run_eval(tiny_experiment(), str(tmp_path), methods=methods, n_trials=1)
     for name in GRID_SPANS:
         assert tracer.durations(name).size > 0, name
+
+
+RUNNER_SPANS = (
+    "agent.greedy_rollout",
+    "agent.load_checkpoint",
+    "oracle.oracle_best_plan",
+    "baselines.equal_bandwidth_plan",
+    "scenario.scenario_for_trial",
+    "outputs.write",
+)
+
+
+def test_tracer_sees_every_runner_call(monkeypatch, tmp_path):
+    """Every method's trial goes through a runner global the tracer wraps;
+    a method that built its result some other way would read 0 there."""
+    import numpy as np
+
+    from minislot.agent import save_checkpoint
+    from minislot.config import tiny_experiment
+    from minislot.net import QNetwork, default_net_config
+    from minislot.runner import ALL_METHODS, build_env, run_eval
+
+    config = tiny_experiment()
+    env = build_env(config)
+    net = QNetwork(
+        default_net_config(
+            env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions
+        )
+    )
+    checkpoint = tmp_path / "init.npz"
+    save_checkpoint(checkpoint, net, net.init_params(np.random.default_rng(0)))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    with spans.Tracer().installed() as tracer:
+        rows = run_eval(
+            config, str(tmp_path / "out"), methods=ALL_METHODS,
+            checkpoint=str(checkpoint), n_trials=1,
+        )
+    assert sorted(r["method"] for r in rows) == sorted(ALL_METHODS)
+    for name in RUNNER_SPANS:
+        assert tracer.durations(name).size > 0, name

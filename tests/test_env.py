@@ -1,6 +1,4 @@
 import copy
-import io
-import json
 import math
 
 import numpy as np
@@ -240,26 +238,11 @@ def test_qoe_bookkeeping_consistent_with_allocations():
         )
         assert env.bt_bits[ue] == pytest.approx(bt, abs=1e-9)
         assert env.et_bits[ue] == pytest.approx(et, abs=1e-9)
-    reports = env.reports()
-    for ue, report in enumerate(reports):
+    plan = env.plan()
+    assert plan.allocations == tuple(env.allocations)
+    for ue, report in enumerate(plan.reports):
         assert report.served == env.served[ue]
-    assert env.total_qoe() == pytest.approx(
-        sum(r.counted_qoe for r in reports), abs=1e-9
-    )
-
-
-def test_trace_export_round_trips_json():
-    env = SchedulingEnv(tiny_config(), record_trace=True)
-    env.reset(profiles=scenario_for_trial(env.config, 0))
-    while not env.done:
-        env.step(int(np.argmax(env.feasible_actions())))
-    buffer = io.StringIO()
-    env.export_trace(buffer)
-    lines = buffer.getvalue().strip().split("\n")
-    assert len(lines) == env.step_count
-    last = json.loads(lines[-1])
-    assert last["branch"] in ("success", "violation")
-    assert set(last) >= {"t", "ue", "tier", "action", "placement", "reward", "q_tilde"}
+    assert env.total_qoe() == pytest.approx(plan.total_qoe, abs=1e-9)
 
 
 def _assert_same(actual, expected, name):
@@ -274,15 +257,13 @@ def _assert_same(actual, expected, name):
 
 
 def test_clone_is_independent():
-    env = SchedulingEnv(tiny_config(), record_trace=True)
-    env.reset(profiles=scenario_for_trial(env.config, 0))
+    env = make_tiny()
     env.step(LARGE)
     clone = env.clone()
-    # every attribute is copied, except that a clone records no trace
+    # every attribute is copied
     assert vars(clone).keys() == vars(env).keys()
-    for name in vars(env).keys() - {"record_trace", "trace"}:
+    for name in vars(env):
         _assert_same(getattr(clone, name), getattr(env, name), name)
-    assert not clone.record_trace and clone.trace == []
     before = clone.feasible_actions().copy()
     env.step(LARGE)
     np.testing.assert_array_equal(clone.feasible_actions(), before)

@@ -15,14 +15,14 @@ from minislot.scenario import scenario_for_trial, tiny_config
 NOT_KEYED = {
     # fixed per config
     "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
-    "aux_dim", "record_trace",
+    "aux_dim",
     # fixed per trial
     "profiles", "order",
     # derived: the mask from the grid and cursor, the step count is the
     # sum of the per-tier counts
     "_mask", "step_count",
     # records of the past, which no later step reads
-    "allocations", "trace",
+    "allocations",
     # terminal states are never keyed
     "done", "outcome",
 }
@@ -32,7 +32,7 @@ def live_states():
     """Every live state of a tiny-config episode that always takes the
     largest feasible shape, from reset through both tiers."""
     config = tiny_config()
-    env = SchedulingEnv(config, record_trace=True)
+    env = SchedulingEnv(config)
     env.reset(profiles=scenario_for_trial(config, 0))
     states = []
     while not env.done:
@@ -168,4 +168,11 @@ def test_oracle_matches_plain_enumeration(config, trial):
     total, actions = plain_best(env)
     result = oracle_best_plan(config, profiles)
     assert result.actions == actions
-    assert result.total_qoe == total
+    assert result.plan.total_qoe == total
+    # the plan read off the search's leaf is the plan of its actions
+    # replayed on a fresh environment
+    replay = SchedulingEnv(config)
+    replay.reset(profiles=profiles)
+    for action in result.actions:
+        replay.step(action)
+    assert result.plan == replay.plan()

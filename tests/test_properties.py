@@ -93,6 +93,14 @@ def test_random_masked_episodes_keep_grid_and_serving_consistent(config, trial, 
         feasible = np.flatnonzero(env.feasible_actions())
         env.step(int(data.draw(st.sampled_from(feasible))))
         check_invariants(env)
+    # the finished episode's plan agrees exactly with the env's bookkeeping
+    plan = env.plan()
+    assert plan.allocations == tuple(env.allocations)
+    assert [r.served for r in plan.reports] == env.served.tolist()
+    assert [r.counted_qoe for r in plan.reports] == [
+        env._q_tilde_or_zero(ue) if env.served[ue] else 0.0 for ue in range(config.n_ues)
+    ]
+    assert plan.total_qoe == env.total_qoe()
 
 
 def brute_force_first_fit(code: np.ndarray, fw: int, tl: int):
