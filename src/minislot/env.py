@@ -86,9 +86,15 @@ def expand_cells(
     return out
 
 
-# attribute types clone() copies instead of sharing; an exact-type set
-# lookup keeps the copy cheap (the oracle clones once per search node)
+# attribute types clone() copies instead of sharing (tuples, the per-trial
+# constants, are shared); an exact-type set lookup keeps the copy cheap (the
+# oracle clones once per search node)
 _COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
+
+# (base-tier QoE, combined QoE) of a user with no base-tier bits: 0 stands
+# in for the undefined combined QoE so QoE deltas are well defined from the
+# first allocation on
+_NO_SCORES = (-math.inf, 0.0)
 
 
 class SchedulingEnv:
@@ -140,24 +146,33 @@ class SchedulingEnv:
         n = cfg.n_ues
 
         self.occupancy = Occupancy(self.dims)
-        self.bt_bits = np.zeros(n)
-        self.et_bits = np.zeros(n)
-        self.served = np.zeros(n, dtype=bool)
-        self.bt_excluded = np.zeros(n, dtype=bool)
-        self.bt_count = np.zeros(n, dtype=np.int64)
-        self.et_count = np.zeros(n, dtype=np.int64)
+        self.bt_bits = [0.0] * n
+        self.et_bits = [0.0] * n
+        self.served = [False] * n
+        self.bt_excluded = [False] * n
+        self.bt_count = [0] * n
+        self.et_count = [0] * n
+        # each user's scores, recomputed only when its bits change
+        self._scores = [_NO_SCORES] * n
+        # the bits per frame each action adds, per user
+        self._added_bits = tuple(
+            tuple(shape.area_shz(self.dims) * p.link.spectral_efficiency for shape in self.shapes)
+            for p in profiles
+        )
         self.allocations: list[BwpAllocation] = []
         self.step_count = 0
         self.done = False
         self.outcome = None
 
         equal_split = equal_time_frequency_plan(cfg, profiles)
-        self.order = serving_order([r.q_combined for r in equal_split.reports])
+        self.order = tuple(serving_order([r.q_combined for r in equal_split.reports]))
         self.phase = Tier.BT
         self._bt_queue = list(self.order)
         self._et_rotation: list[int] = []
         self._active: int | None = None
         self._mask = np.zeros(self.n_actions, dtype=bool)
+        # each action's first fit on the grid the mask was built on
+        self._fits: tuple[tuple[int, int] | None, ...] = ()
 
         terminal = self._resolve_cursor()
         if terminal is not None:
@@ -187,24 +202,31 @@ class SchedulingEnv:
         ue = self._active
         tier = self.phase
         shape = self.shapes[action_index]
+        # the grid has not changed since the mask found this fit
+        t, f = self._fits[action_index]
         # cell code layout: see expand_cells
-        pos = self.occupancy.place(shape, 1 + 2 * ue + (tier == Tier.ET))
-        assert pos is not None  # guaranteed by the mask
-        self.allocations.append(BwpAllocation(ue, tier, shape, *pos))
+        self.occupancy.mark(t, f, shape, 1 + 2 * ue + (tier == Tier.ET))
+        self.allocations.append(BwpAllocation(ue, tier, shape, t, f))
 
-        q_before = self._q_tilde_or_zero(ue)
-        profile = self.profiles[ue]
-        added_bits = shape.area_shz(self.dims) * profile.link.spectral_efficiency
+        q_before = self._scores[ue][1]
+        added_bits = self._added_bits[ue][action_index]
         if tier == Tier.BT:
             self.bt_bits[ue] += added_bits
             self.bt_count[ue] += 1
         else:
             self.et_bits[ue] += added_bits
             self.et_count[ue] += 1
-        delta = self._q_tilde_or_zero(ue) - q_before
+        qp = self.profiles[ue].qoe
+        if self.bt_bits[ue] > 0.0:
+            rates = ue_rates(
+                self.bt_bits[ue], self.et_bits[ue], self.config.frame_duration_s, qp
+            )
+            self._scores[ue] = ue_scores(*rates, qp)
+        q_bt, q_combined = self._scores[ue]
+        delta = q_combined - q_before
         self.step_count += 1
 
-        if tier == Tier.BT and self._q_bt(ue) >= profile.qoe.min_qoe:
+        if tier == Tier.BT and q_bt >= qp.min_qoe:
             self.served[ue] = True
             self._bt_queue.pop(0)
         elif tier == Tier.ET:
@@ -212,7 +234,7 @@ class SchedulingEnv:
 
         terminal = self._resolve_cursor()
         if terminal is None and self.step_count >= self.reward_params.max_steps:
-            terminal = "success" if self.served.all() else "violation"
+            terminal = "success" if all(self.served) else "violation"
 
         rp = self.reward_params
         if terminal is not None:
@@ -243,14 +265,14 @@ class SchedulingEnv:
                     continue
                 if self._bt_hopeless(ue):
                     return "violation"
-                mask, any_placeable = self._mask_detail(ue, Tier.BT)
+                mask, fits, any_placeable = self._mask_detail(ue, Tier.BT)
                 if not mask.any():
                     if any_placeable:
                         # every remaining placement would breach the peak cap
                         self.bt_excluded[ue] = True
                     return "violation"
                 self._active = ue
-                self._mask = mask
+                self._mask, self._fits = mask, fits
                 return None
             # base tier complete for everyone (all served, else we'd have
             # terminated above); hand out enhancement tier round-robin
@@ -258,40 +280,42 @@ class SchedulingEnv:
             self._et_rotation = list(self.order)
         while self._et_rotation:
             ue = self._et_rotation[0]
-            mask, _ = self._mask_detail(ue, Tier.ET)
+            mask, fits, _ = self._mask_detail(ue, Tier.ET)
             if mask.any():
                 self._active = ue
-                self._mask = mask
+                self._mask, self._fits = mask, fits
                 return None
             self._et_rotation.pop(0)  # occupancy only grows: drop for good
         self._active = None
         return "success"
 
-    def _mask_detail(self, ue: int, tier: Tier) -> tuple[np.ndarray, bool]:
-        """(feasible mask, whether anything is placeable ignoring the cap on
-        base-tier QoE) for one user and tier."""
+    def _mask_detail(
+        self, ue: int, tier: Tier
+    ) -> tuple[np.ndarray, tuple[tuple[int, int] | None, ...], bool]:
+        """(feasible mask, each action's first fit, whether anything is
+        placeable ignoring the cap on base-tier QoE) for one user and tier."""
         mask = np.zeros(self.n_actions, dtype=bool)
         cap = self.config.max_bwps_per_ue_tier
         if cap is not None:
             count = self.bt_count[ue] if tier == Tier.BT else self.et_count[ue]
             if count >= cap:
-                return mask, False
-        profile = self.profiles[ue]
+                return mask, (), False
+        find_first_fit = self.occupancy.find_first_fit
+        fits = tuple(find_first_fit(shape) for shape in self.shapes)
+        qp = self.profiles[ue].qoe
+        added_bits = self._added_bits[ue]
         any_placeable = False
-        for i, shape in enumerate(self.shapes):
-            if self.occupancy.find_first_fit(shape) is None:
+        for i, pos in enumerate(fits):
+            if pos is None:
                 continue
             any_placeable = True
             if tier == Tier.BT:
-                bits = (
-                    self.bt_bits[ue]
-                    + shape.area_shz(self.dims) * profile.link.spectral_efficiency
-                )
-                q_after = base_tier_qoe(bits, self.config.frame_duration_s, profile.qoe)
-                if q_after > profile.qoe.peak_qoe:
+                bits = self.bt_bits[ue] + added_bits[i]
+                q_after = base_tier_qoe(bits, self.config.frame_duration_s, qp)
+                if q_after > qp.peak_qoe:
                     continue
             mask[i] = True
-        return mask, any_placeable
+        return mask, fits, any_placeable
 
     def _bt_hopeless(self, ue: int) -> bool:
         """Optimistic bound: could this user reach its minimum QoE given every
@@ -308,24 +332,6 @@ class SchedulingEnv:
             < profile.qoe.min_qoe
         )
 
-    # ---------- per-user QoE bookkeeping ----------
-
-    def _q_bt(self, ue: int) -> float:
-        if self.bt_bits[ue] <= 0.0:
-            return -math.inf
-        return base_tier_qoe(
-            self.bt_bits[ue], self.config.frame_duration_s, self.profiles[ue].qoe
-        )
-
-    def _q_tilde_or_zero(self, ue: int) -> float:
-        """Combined QoE, with 0 standing in for the undefined zero-rate case
-        so QoE deltas are well defined from the first allocation on."""
-        if self.bt_bits[ue] <= 0.0:
-            return 0.0
-        qp = self.profiles[ue].qoe
-        rates = ue_rates(self.bt_bits[ue], self.et_bits[ue], self.config.frame_duration_s, qp)
-        return ue_scores(*rates, qp)[1]
-
     # ---------- observations and results ----------
 
     def compact_observation(self) -> tuple[np.ndarray, np.ndarray]:
@@ -333,11 +339,12 @@ class SchedulingEnv:
         n = self.config.n_ues
         aux = np.zeros(self.aux_dim, dtype=np.float32)
         for ue in range(n):
-            profile = self.profiles[ue]
             base = 4 * ue
             if self.bt_bits[ue] > 0.0:
-                aux[base] = self._q_bt(ue) / profile.qoe.min_qoe
-                aux[base + 1] = self._q_tilde_or_zero(ue) / profile.qoe.min_qoe
+                q_bt, q_combined = self._scores[ue]
+                min_qoe = self.profiles[ue].qoe.min_qoe
+                aux[base] = q_bt / min_qoe
+                aux[base + 1] = q_combined / min_qoe
             aux[base + 2] = 1.0 if self.served[ue] else 0.0
             aux[base + 3] = 1.0 if self.bt_excluded[ue] else 0.0
         if self._active is not None and not self.done:
@@ -348,9 +355,7 @@ class SchedulingEnv:
 
     def total_qoe(self) -> float:
         """Sum of combined QoE over served users only."""
-        return float(
-            sum(self._q_tilde_or_zero(ue) for ue in range(self.config.n_ues) if self.served[ue])
-        )
+        return float(sum(q for (_, q), served in zip(self._scores, self.served) if served))
 
     def plan(self) -> AllocationPlan:
         """The episode's placements with per-user QoE reports recomputed from

@@ -10,6 +10,7 @@ scheduling geometry reduces to integer rectangle packing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -138,12 +139,22 @@ class BwpShape:
         return self.area_units * dims.rb_size_shz
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int (numpy integers included), so that shape
+    sizes are exact, unbounded ints whatever type the config holds."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name}={value!r} is not an integer") from None
+
+
 def bwp_shape(mu: int, eta: int, spec: GridSpec) -> BwpShape:
     """Footprint of a (numerology, mini-slot length) choice on the lattice."""
-    if not spec.mu_min <= mu <= spec.mu_max:
+    mu, eta = _integer("mu", mu), _integer("eta", eta)
+    mu_min, mu_max = _integer("mu_min", spec.mu_min), _integer("mu_max", spec.mu_max)
+    if not mu_min <= mu <= mu_max:
         raise ConfigError(
-            f"mu={mu} outside the configured numerology range "
-            f"[{spec.mu_min}, {spec.mu_max}]"
+            f"mu={mu} outside the configured numerology range [{mu_min}, {mu_max}]"
         )
     if not 1 <= eta <= MAX_MINISLOT_SYMBOLS:
         raise ConfigError(
@@ -152,8 +163,8 @@ def bwp_shape(mu: int, eta: int, spec: GridSpec) -> BwpShape:
     return BwpShape(
         mu=mu,
         eta=eta,
-        time_len_units=eta * 2 ** (spec.mu_max - mu),
-        freq_width_units=2 ** (mu - spec.mu_min),
+        time_len_units=eta * 2 ** (mu_max - mu),
+        freq_width_units=2 ** (mu - mu_min),
     )
 
 
@@ -238,8 +249,9 @@ class Occupancy:
 
     The caller picks the non-zero code each placement paints; the
     environment encodes owner and tier (see ``env.expand_cells``).
-    First fit reads a bitmask of the free cells, built from the codes once
-    per grid state; paint only through ``mark``/``place``, which drop it.
+    First fit and the free count read a bitmask of the free cells, built
+    from the codes once per grid state; paint only through ``mark``, which
+    drops it.
     """
 
     def __init__(self, dims: GridDims):
@@ -254,8 +266,15 @@ class Occupancy:
         clone._free = self._free  # an int: shared until either side marks
         return clone
 
+    def _free_bits(self) -> int:
+        """The free cells, bit t*F + f set when cell (f, t) is free."""
+        if self._free is None:
+            bits = np.packbits(self.code.T == 0, bitorder="little")
+            self._free = int.from_bytes(bits.tobytes(), "little")
+        return self._free
+
     def free_units(self) -> int:
-        return self.code.size - np.count_nonzero(self.code)
+        return self._free_bits().bit_count()
 
     def find_first_fit(self, shape: BwpShape) -> tuple[int, int] | None:
         """First position fitting ``shape``: minimum time offset, then
@@ -264,14 +283,10 @@ class Occupancy:
         plan = _fit_plan(n_freq, n_time, shape.freq_width_units, shape.time_len_units)
         if plan is None:
             return None
-        # bit t*F + f is set when cell (f, t) is free: bit order is time
-        # order, then frequency order, so the lowest bit left set below is
-        # the first fit.  ANDing with a copy shifted right by k keeps bit i
-        # only where cell i + k is free as well.
-        fits = self._free
-        if fits is None:
-            bits = np.packbits(self.code.T == 0, bitorder="little")
-            fits = self._free = int.from_bytes(bits.tobytes(), "little")
+        # bit order is time order, then frequency order, so the lowest bit
+        # left set below is the first fit.  ANDing with a copy shifted right
+        # by k keeps bit i only where cell i + k is free as well.
+        fits = self._free_bits()
         freq_shifts, starts, time_shifts = plan
         for k in freq_shifts:
             fits &= fits >> k
@@ -295,10 +310,3 @@ class Occupancy:
             )
         region[:] = code
         self._free = None
-
-    def place(self, shape: BwpShape, code: int) -> tuple[int, int] | None:
-        """Find-and-mark in one call; None when the shape fits nowhere."""
-        pos = self.find_first_fit(shape)
-        if pos is not None:
-            self.mark(pos[0], pos[1], shape, code)
-        return pos

@@ -78,21 +78,22 @@ KEY_FIELDS = (
 def state_key(env: SchedulingEnv) -> bytes:
     """Exact key of a live state over ``KEY_FIELDS``.
 
-    Cells count only as occupied or free, and the bits enter as their
-    float64 bytes, unrounded.  Every part but the two queues has a fixed
-    length per trial, and the first queue is length-prefixed.
+    Cells count only as occupied or free, the bits enter as their float64
+    bytes, unrounded, and the flags one byte each.  Every part but the two
+    queues has a fixed length per trial, and the first queue is
+    length-prefixed.
     """
     queue = env._bt_queue
     active = len(env.profiles) if env._active is None else env._active
     cursor = [env.phase == Tier.ET, active, len(queue), *queue, *env._et_rotation]
     return b"".join((
         np.packbits(env.occupancy.code).tobytes(),  # one bit per non-zero code
-        env.bt_bits.tobytes(),
-        env.et_bits.tobytes(),
-        env.bt_count.tobytes(),
-        env.et_count.tobytes(),
-        env.served.tobytes(),
-        env.bt_excluded.tobytes(),
+        array("d", env.bt_bits).tobytes(),
+        array("d", env.et_bits).tobytes(),
+        array("q", env.bt_count).tobytes(),
+        array("q", env.et_count).tobytes(),
+        bytes(env.served),
+        bytes(env.bt_excluded),
         array("q", cursor).tobytes(),
     ))
 
@@ -107,9 +108,7 @@ class _Search:
         self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
         cfg = env.config
         rb = env.dims.rb_size_shz
-        self.bits_per_cell = np.array(
-            [rb * p.link.spectral_efficiency for p in env.profiles]
-        )
+        self.bits_per_cell = tuple(rb * p.link.spectral_efficiency for p in env.profiles)
         self.frame_s = cfg.frame_duration_s
         # actions sorted by descending area so good solutions appear early
         self.action_order = sorted(

@@ -332,9 +332,9 @@ def _check_episode(env) -> list[str]:
     cfg = env.config
     served = env.served
 
-    if env.outcome == "success" and not served.all():
+    if env.outcome == "success" and not all(served):
         bad.append("success without all users served")
-    if env.outcome == "violation" and served.all():
+    if env.outcome == "violation" and all(served):
         bad.append("violation with all users served")
 
     # C1: the served flag must match the base-tier QoE threshold
@@ -414,7 +414,7 @@ def test_criterion_10_constraint_soundness():
             mask = env.feasible_actions()
             env.step(int(rng.choice(np.flatnonzero(mask))))
         outcomes[env.outcome] += 1
-        excluded_episodes += bool(env.bt_excluded.any())
+        excluded_episodes += any(env.bt_excluded)
         bad = _check_episode(env)
         if bad:
             failures.append(f"rollout {i}: " + "; ".join(bad))

@@ -227,7 +227,7 @@ def test_greedy_rollout_reports_episode_outcome():
     # the plan is the finished episode the env keeps
     assert one.allocations == tuple(env.allocations)
     assert len(one.reports) == 2
-    assert [r.served for r in one.reports] == env.served.tolist()
+    assert [r.served for r in one.reports] == env.served
     assert one.total_qoe == env.total_qoe()
 
 

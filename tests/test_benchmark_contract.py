@@ -1,12 +1,26 @@
-"""The benchmark's tracer patches the program's public names by lookup;
-a rename it depends on should fail here, not in a benchmark run."""
+"""The benchmark's tracer patches the program's public names by lookup,
+and its smoke check runs every workload's correctness checks; a rename or
+a fault they depend on should fail here, not in a benchmark run."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import minislot.env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_smoke_passes():
+    """The benchmark's own smoke check (every workload at its smoke size,
+    untraced and traced, with its correctness checks) passes on the program
+    as it stands, so a change that breaks those checks fails here."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "smoke.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=1800,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):

@@ -1,11 +1,19 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minislot.env import RewardParams, SchedulingEnv, expand_cells, serving_order
-from minislot.grid import GridSpec, Occupancy, Tier, validate_allocation_set
+from minislot.grid import (
+    ConfigError,
+    GridSpec,
+    Occupancy,
+    Tier,
+    _fit_plan,
+    validate_allocation_set,
+)
 from minislot.qoe import combined_qoe, effective_rate
 from minislot.scenario import (
     default_config,
@@ -82,11 +90,11 @@ def test_full_episode_success_and_bonus():
         r, _ = env.step(action)
         rewards.append(r)
     assert env.outcome == "success"
-    assert env.served.all()
+    assert all(env.served)
     assert rewards[-1] == 500.0
     assert validate_allocation_set(env.allocations, env.dims)
     # enhancement tier was actually reached and used
-    assert env.et_bits.sum() > 0
+    assert sum(env.et_bits) > 0
 
 
 def test_small_shapes_waste_the_budget_and_violate():
@@ -293,3 +301,30 @@ def test_wrong_profile_count_rejected():
     env = SchedulingEnv(tiny_config())
     with pytest.raises(ValueError):
         env.reset(profiles=scenario_for_trial(default_config(), 0))
+
+
+@pytest.mark.parametrize("bandwidth_khz", [2880.0, 720.0])
+def test_numpy_integer_config_plays_the_int_config_episode(bandwidth_khz):
+    grid = GridSpec(1, 2, 2.0 / 7.0, bandwidth_khz)
+    # a minimum both users reach on either grid
+    plain = tiny_config(grid=grid, min_qoe=(2.0, 2.0))
+    numpy_ints = replace(
+        plain,
+        grid=GridSpec(np.int64(1), np.int64(2), 2.0 / 7.0, bandwidth_khz),
+        numerology_set=tuple(np.arange(1, 3)),
+        minislot_set=(np.int64(4), np.int64(7)),
+    )
+    # numpy ints hash equal to ints: a first-fit plan cached for the int
+    # config would hide a plan built from numpy ints
+    _fit_plan.cache_clear()
+    plans = []
+    for config in (numpy_ints, plain):
+        env = SchedulingEnv(config)
+        env.reset(profiles=scenario_for_trial(plain, 0))
+        while not env.done:
+            env.step(int(np.argmax(env.feasible_actions())))
+        plans.append(env.plan())
+    assert plans[0] == plans[1]
+    assert len(plans[0].allocations) > 1
+    with pytest.raises(ConfigError, match="eta=4.0 is not an integer"):
+        SchedulingEnv(tiny_config(grid=grid, minislot_set=(4.0, 7)))

@@ -111,11 +111,13 @@ def test_first_fit_prefers_earliest_time_then_lowest_frequency():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
     wide = bwp_shape(4, 7, DEFAULT)  # 28 x 1
-    assert occ.place(wide, 1) == (0, 0)
-    assert occ.place(wide, 1) == (0, 1)  # same column, next row up
+    assert occ.find_first_fit(wide) == (0, 0)
+    occ.mark(0, 0, wide, 1)
+    assert occ.find_first_fit(wide) == (0, 1)  # same column, next row up
+    occ.mark(0, 1, wide, 1)
     tall = bwp_shape(6, 2, DEFAULT)  # 2 x 4
     # rows 0-1 are blocked until t=28, rows 2+ free from t=0
-    assert occ.place(tall, 1) == (0, 2)
+    assert occ.find_first_fit(tall) == (0, 2)
 
 
 def test_first_fit_skips_holes_too_small():
@@ -156,13 +158,14 @@ def _scan_first_fit(code, shape):
 def test_occupancy_copy_is_independent():
     dims = derive_grid(DEFAULT)
     occ = Occupancy(dims)
-    occ.place(bwp_shape(4, 2, DEFAULT), 1)
+    small, large = bwp_shape(4, 2, DEFAULT), bwp_shape(6, 7, DEFAULT)
+    occ.mark(*occ.find_first_fit(small), small, 1)
     shapes = [bwp_shape(mu, eta, DEFAULT) for mu in (4, 5, 6) for eta in (2, 4, 7, 14)]
     before = [occ.find_first_fit(s) for s in shapes]  # the copy starts from these
     clone = occ.copy()
-    clone.place(bwp_shape(4, 2, DEFAULT), 1)
+    clone.mark(*clone.find_first_fit(small), small, 1)
     assert clone.free_units() == occ.free_units() - 8
-    clone.place(bwp_shape(6, 7, DEFAULT), 2)
+    clone.mark(*clone.find_first_fit(large), large, 2)
     for shape, answer in zip(shapes, before):
         assert occ.find_first_fit(shape) == _scan_first_fit(occ.code, shape) == answer
         assert clone.find_first_fit(shape) == _scan_first_fit(clone.code, shape)

@@ -16,11 +16,13 @@ NOT_KEYED = {
     # fixed per config
     "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
     "aux_dim",
-    # fixed per trial
-    "profiles", "order",
-    # derived: the mask from the grid and cursor, the step count is the
-    # sum of the per-tier counts
-    "_mask", "step_count",
+    # fixed per trial: the scenario, the serving order and the bits each
+    # action adds for each user
+    "profiles", "order", "_added_bits",
+    # derived: the mask and each action's first fit from the grid and
+    # cursor, each user's scores from its bits, the step count is the sum
+    # of the per-tier counts
+    "_mask", "_fits", "_scores", "step_count",
     # records of the past, which no later step reads
     "allocations",
     # terminal states are never keyed
@@ -47,7 +49,7 @@ def test_key_fields_and_exclusions_cover_the_env_state():
     assert not NOT_KEYED & set(KEY_FIELDS)
     for env in live_states():
         assert set(vars(env)) <= NOT_KEYED | set(KEY_FIELDS)
-        assert env.step_count == env.bt_count.sum() + env.et_count.sum()
+        assert env.step_count == sum(env.bt_count) + sum(env.et_count)
 
 
 def _flip_free_cell(env):

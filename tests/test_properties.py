@@ -1,11 +1,13 @@
-"""Property tests: the environment's grid, placements and serving flags
+"""Property tests: the environment's grid, placements, serving flags and
+what it computes once and keeps (scores, first fits, the free count)
 against simple reference implementations, on generated configs and
 generated masked action sequences."""
 
+import math
 from itertools import combinations
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,10 +22,17 @@ from minislot.grid import (
     allocations_overlap,
     validate_allocation_set,
 )
-from minislot.qoe import evaluate_ue
+from minislot.qoe import evaluate_ue, ue_rates, ue_scores
 from minislot.scenario import scenario_for_trial, tiny_config
 
-SETTINGS = settings(max_examples=60, deadline=None, database=None)
+# hypothesis's explain phase can crash on a failing st.data() example and
+# hide the failed assertion, so it is left out; it only annotates failures
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 
 
 @st.composite
@@ -81,6 +90,23 @@ def check_invariants(env: SchedulingEnv) -> None:
             bits[Tier.BT], bits[Tier.ET], env.config.frame_duration_s, profile.qoe
         )
         assert env.served[ue] == report.served
+        # the kept scores are the scores of the user's bits as they stand
+        qp = profile.qoe
+        if env.bt_bits[ue] > 0.0:
+            rates = ue_rates(env.bt_bits[ue], env.et_bits[ue], env.config.frame_duration_s, qp)
+            assert env._scores[ue] == ue_scores(*rates, qp)
+        else:
+            assert env._scores[ue] == (-math.inf, 0.0)
+    code = env.occupancy.code
+    assert env.occupancy.free_units() == code.size - np.count_nonzero(code)
+    if env.done:
+        return
+    # the fit kept for each feasible action is the first fit on the grid
+    # as it stands, where step() will place it
+    for action in np.flatnonzero(env.feasible_actions()):
+        shape = env.shapes[action]
+        reference = brute_force_first_fit(code, shape.freq_width_units, shape.time_len_units)
+        assert env._fits[action] == env.occupancy.find_first_fit(shape) == reference
 
 
 @SETTINGS
@@ -96,9 +122,9 @@ def test_random_masked_episodes_keep_grid_and_serving_consistent(config, trial, 
     # the finished episode's plan agrees exactly with the env's bookkeeping
     plan = env.plan()
     assert plan.allocations == tuple(env.allocations)
-    assert [r.served for r in plan.reports] == env.served.tolist()
+    assert [r.served for r in plan.reports] == env.served
     assert [r.counted_qoe for r in plan.reports] == [
-        env._q_tilde_or_zero(ue) if env.served[ue] else 0.0 for ue in range(config.n_ues)
+        q if served else 0.0 for (_, q), served in zip(env._scores, env.served)
     ]
     assert plan.total_qoe == env.total_qoe()
 
