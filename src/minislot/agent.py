@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import io
 import json
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -363,21 +366,37 @@ def save_checkpoint(path, net: QNetwork, params: dict[str, np.ndarray], extra: d
         np.savez_compressed(fh, **arrays)
 
 
+# what zipfile, zlib and numpy's .npy header parser raise on a truncated
+# or damaged archive (NotImplementedError: a flipped compression method)
+_DAMAGED_ARCHIVE = (
+    ValueError,
+    EOFError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+    tokenize.TokenError,
+)
+
+
 def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
-    with np.load(path) as data:
-        if "__meta__" not in data:
-            raise ValueError(f"{path!r} is not a checkpoint file")
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        raw = dict(meta["net_config"])
-        raw["conv"] = tuple(ConvSpec(**c) for c in raw["conv"])
-        raw["dense"] = tuple(raw["dense"])
-        config = NetConfig(**raw)
-        net = QNetwork(config)
-        params = {
-            k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")
-        }
+    try:
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+    except _DAMAGED_ARCHIVE as exc:
+        raise ValueError(
+            f"cannot read checkpoint {str(path)!r}: {type(exc).__name__}: {exc}"
+        ) from None
+    if "__meta__" not in members:
+        raise ValueError(f"{path!r} is not a checkpoint file")
+    meta = json.loads(bytes(members["__meta__"]).decode())
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    raw = dict(meta["net_config"])
+    raw["conv"] = tuple(ConvSpec(**c) for c in raw["conv"])
+    raw["dense"] = tuple(raw["dense"])
+    config = NetConfig(**raw)
+    net = QNetwork(config)
+    params = {k[len("param/"):]: v for k, v in members.items() if k.startswith("param/")}
     expected = net.param_shapes()
     if set(params) != set(expected):
         raise ValueError("checkpoint parameter set does not match architecture")

@@ -265,9 +265,9 @@ class SchedulingEnv:
                     continue
                 if self._bt_hopeless(ue):
                     return "violation"
-                mask, fits, any_placeable = self._mask_detail(ue, Tier.BT)
-                if not mask.any():
-                    if any_placeable:
+                mask, fits, placeable, feasible = self._mask_detail(ue, Tier.BT)
+                if not feasible:
+                    if placeable:
                         # every remaining placement would breach the peak cap
                         self.bt_excluded[ue] = True
                     return "violation"
@@ -280,8 +280,8 @@ class SchedulingEnv:
             self._et_rotation = list(self.order)
         while self._et_rotation:
             ue = self._et_rotation[0]
-            mask, fits, _ = self._mask_detail(ue, Tier.ET)
-            if mask.any():
+            mask, fits, _, feasible = self._mask_detail(ue, Tier.ET)
+            if feasible:
                 self._active = ue
                 self._mask, self._fits = mask, fits
                 return None
@@ -291,31 +291,32 @@ class SchedulingEnv:
 
     def _mask_detail(
         self, ue: int, tier: Tier
-    ) -> tuple[np.ndarray, tuple[tuple[int, int] | None, ...], bool]:
+    ) -> tuple[np.ndarray, tuple[tuple[int, int] | None, ...], bool, bool]:
         """(feasible mask, each action's first fit, whether anything is
-        placeable ignoring the cap on base-tier QoE) for one user and tier."""
+        placeable ignoring the cap on base-tier QoE, whether anything is
+        feasible) for one user and tier."""
         mask = np.zeros(self.n_actions, dtype=bool)
         cap = self.config.max_bwps_per_ue_tier
         if cap is not None:
             count = self.bt_count[ue] if tier == Tier.BT else self.et_count[ue]
             if count >= cap:
-                return mask, (), False
+                return mask, (), False, False
         find_first_fit = self.occupancy.find_first_fit
         fits = tuple(find_first_fit(shape) for shape in self.shapes)
         qp = self.profiles[ue].qoe
         added_bits = self._added_bits[ue]
-        any_placeable = False
+        placeable = feasible = False
         for i, pos in enumerate(fits):
             if pos is None:
                 continue
-            any_placeable = True
+            placeable = True
             if tier == Tier.BT:
                 bits = self.bt_bits[ue] + added_bits[i]
                 q_after = base_tier_qoe(bits, self.config.frame_duration_s, qp)
                 if q_after > qp.peak_qoe:
                     continue
-            mask[i] = True
-        return mask, fits, any_placeable
+            mask[i] = feasible = True
+        return mask, fits, placeable, feasible
 
     def _bt_hopeless(self, ue: int) -> bool:
         """Optimistic bound: could this user reach its minimum QoE given every

@@ -205,9 +205,13 @@ def validate_allocation_set(allocations: list[BwpAllocation], dims: GridDims) ->
             return False
         if alloc.time_end > dims.n_time_units or alloc.freq_end > n_freq:
             return False
-        rows = ((1 << alloc.shape.freq_width_units) - 1) << alloc.freq_offset_units
-        cells = rows * _repeat(n_freq, alloc.shape.time_len_units)
-        cells <<= alloc.time_offset_units * n_freq
+        cells = _cells(
+            n_freq,
+            alloc.time_offset_units,
+            alloc.freq_offset_units,
+            alloc.shape.freq_width_units,
+            alloc.shape.time_len_units,
+        )
         if painted & cells:
             return False
         painted |= cells
@@ -219,6 +223,15 @@ def _repeat(n_freq: int, n_time: int) -> int:
     """A bit at row 0 of each of the first ``n_time`` columns.  Times a
     pattern of rows in one column, it repeats that pattern in each of them."""
     return ((1 << (n_freq * n_time)) - 1) // ((1 << n_freq) - 1)
+
+
+def _cells(n_freq: int, time_offset: int, freq_offset: int, width: int, length: int) -> int:
+    """The bits of a ``width`` x ``length`` rectangle at (time_offset,
+    freq_offset) of a grid with ``n_freq`` rows, in Occupancy's bit order.
+    The rectangle must lie inside the grid: a row past the top would set a
+    bit of the next column."""
+    rows = ((1 << width) - 1) << freq_offset
+    return rows * _repeat(n_freq, length) << (time_offset * n_freq)
 
 
 def _doubling(length: int, unit: int) -> tuple[int, ...]:
@@ -250,8 +263,8 @@ class Occupancy:
     The caller picks the non-zero code each placement paints; the
     environment encodes owner and tier (see ``env.expand_cells``).
     First fit and the free count read a bitmask of the free cells, built
-    from the codes once per grid state; paint only through ``mark``, which
-    drops it.
+    from the codes once; paint only through ``mark``, which clears the
+    shape's bits in it.
     """
 
     def __init__(self, dims: GridDims):
@@ -263,7 +276,7 @@ class Occupancy:
         clone = Occupancy.__new__(Occupancy)
         clone.dims = self.dims
         clone.code = self.code.copy()
-        clone._free = self._free  # an int: shared until either side marks
+        clone._free = self._free  # an int, never changed in place: shared
         return clone
 
     def _free_bits(self) -> int:
@@ -298,15 +311,26 @@ class Occupancy:
         return divmod((fits & -fits).bit_length() - 1, n_freq)
 
     def mark(self, time_offset: int, freq_offset: int, shape: BwpShape, code: int) -> None:
-        """Paint ``code`` (1-255) over the shape's cells, which must be free."""
-        region = self.code[
-            freq_offset : freq_offset + shape.freq_width_units,
-            time_offset : time_offset + shape.time_len_units,
-        ]
-        if region.any():
+        """Paint ``code`` (1-255) over the shape's cells, which must lie on
+        the grid and be free, and clear their bits in the free-cell int."""
+        n_freq, n_time = self.code.shape
+        width, length = shape.freq_width_units, shape.time_len_units
+        if (
+            time_offset < 0
+            or freq_offset < 0
+            or freq_offset + width > n_freq
+            or time_offset + length > n_time
+        ):
+            raise ValueError(
+                f"placement at (t={time_offset}, f={freq_offset}) of a "
+                f"{width}x{length} shape leaves the {n_freq}x{n_time} grid"
+            )
+        cells = _cells(n_freq, time_offset, freq_offset, width, length)
+        free = self._free_bits()
+        if free & cells != cells:
             raise ValueError(
                 f"placement at (t={time_offset}, f={freq_offset}) overlaps an "
                 f"existing allocation"
             )
-        region[:] = code
-        self._free = None
+        self.code[freq_offset : freq_offset + width, time_offset : time_offset + length] = code
+        self._free = free ^ cells

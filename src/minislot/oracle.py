@@ -5,10 +5,8 @@ explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
 Two sequences often reach the same state (the same occupied cells, bits,
 counts and cursor), and what can follow a state depends on nothing else,
-so a table of exact state keys expands each reachable state once.  An
-admissible bound (every user optimistically gets all remaining free
-cells in both tiers) prunes subtrees that cannot beat the incumbent, and
-a node budget turns pathological instances into a clean error instead of
+so a table of exact state keys expands each reachable state once.  A
+node budget turns pathological instances into a clean error instead of
 an open-ended search.
 """
 
@@ -24,7 +22,6 @@ from .env import SchedulingEnv
 from .grid import Tier
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
-from .qoe import ue_rates, ue_scores
 from .scenario import ScenarioConfig, UeProfile
 
 
@@ -106,33 +103,17 @@ class _Search:
         self.best_qoe = -1.0
         self.best_actions: tuple[int, ...] = ()
         self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
-        cfg = env.config
-        rb = env.dims.rb_size_shz
-        self.bits_per_cell = tuple(rb * p.link.spectral_efficiency for p in env.profiles)
-        self.frame_s = cfg.frame_duration_s
         # actions sorted by descending area so good solutions appear early
         self.action_order = sorted(
             range(env.n_actions),
             key=lambda a: -env.shapes[a].area_units,
         )
 
-    def upper_bound(self, env: SchedulingEnv) -> float:
-        """Total QoE if every user got every free cell in both tiers."""
-        free = float(env.occupancy.free_units())
-        total = 0.0
-        for ue, profile in enumerate(env.profiles):
-            grab = free * self.bits_per_cell[ue]
-            bt = env.bt_bits[ue] + (0.0 if env.served[ue] else grab)
-            et = env.et_bits[ue] + grab
-            if bt <= 0.0:
-                continue
-            qp = profile.qoe
-            q_bt, q_combined = ue_scores(*ue_rates(bt, et, self.frame_s, qp), qp)
-            if q_bt >= qp.min_qoe:
-                total += q_combined
-        return total
-
     def run(self, env: SchedulingEnv, prefix: tuple[int, ...]) -> None:
+        """Search below ``env``, which this call owns: its last child is
+        ``env`` itself, stepped in place once every other child has been
+        cloned from it.  A done env is never stepped again, so the
+        incumbent's leaf stays as it was found."""
         if env.done:
             qoe = env.total_qoe()
             if qoe > self.best_qoe:
@@ -144,18 +125,16 @@ class _Search:
         if key in self.seen:
             return
         self.seen.add(key)
-        if self.upper_bound(env) <= self.best_qoe:
-            return
         mask = env.feasible_actions()
-        for action in self.action_order:
-            if not mask[action]:
-                continue
+        actions = [a for a in self.action_order if mask[a]]
+        last = len(actions) - 1
+        for i, action in enumerate(actions):
             self.nodes += 1
             if self.nodes > self.caps.node_budget:
                 raise SearchSizeError(
                     f"search exceeded node budget {self.caps.node_budget}"
                 )
-            child = env.clone()
+            child = env if i == last else env.clone()
             child.step(action)
             self.run(child, prefix + (action,))
 
@@ -172,8 +151,7 @@ def oracle_best_plan(
     large-shape-first order, which is fixed, so results are deterministic.
     The table does not change that answer: the incumbent moves only on a
     strict gain, and a repeated state's subtree holds the same leaf values
-    as its first copy, which came earlier in that order and either reached
-    them or pruned them against a lower incumbent.
+    as its first copy, which came earlier in that order and reached them.
     """
     caps = caps or OracleCaps()
     env = SchedulingEnv(config)

@@ -9,11 +9,12 @@ reproducible in isolation and safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec, derive_grid
+from .grid import MAX_MINISLOT_SYMBOLS, GridSpec, derive_grid
 from .qoe import QoeParams
 from .radio import LinkParams, LinkState
 
@@ -51,13 +52,34 @@ class FovModel:
         if self.parent_var <= 0:
             raise ValueError(f"parent_var must be positive, got {self.parent_var}")
 
+    def support_mass(self) -> float:
+        """Probability that one draw of the parent normal lands in support."""
+        scale = math.sqrt(2.0 * self.parent_var)
+        return 0.5 * (
+            math.erf((self.high - self.parent_mean) / scale)
+            - math.erf((self.low - self.parent_mean) / scale)
+        )
+
+    def check_reachable(self) -> None:
+        """Refuse a support that all ``max_draws`` draws miss with a chance
+        above 1e-9, before any draw is made."""
+        mass = self.support_mass()
+        miss = (1.0 - mass) ** self.max_draws
+        if not miss <= 1e-9:  # NaN included
+            raise ValueError(
+                f"FoV support [{self.low}, {self.high}] holds {mass:.3g} of the "
+                f"parent normal's mass: {self.max_draws} draws miss it with "
+                f"probability {miss:.3g}"
+            )
+
 
 def sample_fov_prob(rng: np.random.Generator, model: FovModel) -> float:
     """Rejection-sample the parent normal until a draw lands in support.
 
-    The default support keeps about 22% of parent draws, so the retry guard
-    never triggers in practice; it exists to turn a degenerate configuration
-    into a clear error instead of a hang.
+    The default support keeps about 22% of parent draws.
+    ``sample_scenario`` first refuses a support that ``max_draws`` draws
+    could miss (``FovModel.check_reachable``), so the retry guard is a
+    backstop that turns a degenerate model into an error, not a hang.
     """
     sigma = model.parent_var**0.5
     for _ in range(model.max_draws):
@@ -111,6 +133,17 @@ class ScenarioConfig:
                     f"numerology_set entry {mu} outside grid range "
                     f"[{self.grid.mu_min}, {self.grid.mu_max}]"
                 )
+        for eta in self.minislot_set:
+            if not 1 <= eta <= MAX_MINISLOT_SYMBOLS:
+                raise ValueError(
+                    f"minislot_set entry {eta} outside the mini-slot symbol range "
+                    f"[1, {MAX_MINISLOT_SYMBOLS}]"
+                )
+        if self.max_bwps_per_ue_tier is not None and self.max_bwps_per_ue_tier < 1:
+            raise ValueError(
+                f"max_bwps_per_ue_tier must be None or at least 1, got "
+                f"{self.max_bwps_per_ue_tier}"
+            )
         if self.min_distance_m < 1.0 or self.cell_radius_m < self.min_distance_m:
             raise ValueError(
                 f"need 1 <= min_distance_m <= cell_radius_m, got "
@@ -155,6 +188,7 @@ def sample_scenario(
     Draw order is fixed (distance then FoV probability, user by user) so a
     given generator state always produces the same scenario.
     """
+    config.fov.check_reachable()
     profiles = []
     for i in range(config.n_ues):
         distance = float(

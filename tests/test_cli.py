@@ -1,12 +1,18 @@
+import io
 import json
 import os
+import struct
+import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from minislot.agent import TrainConfig
 from minislot.cli import build_parser, main
 from minislot.config import save_config, tiny_experiment
+
+CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "checkpoints" / "default-60ep-seed0.npz"
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +226,72 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "training.csv").read_bytes() == (b / "training.csv").read_bytes()
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[:2000]
+
+
+def _flipped(data: bytes) -> bytes:
+    """One byte flipped in the middle of the largest compressed member."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        member = max(archive.infolist(), key=lambda m: m.compress_size)
+    assert member.compress_type == zipfile.ZIP_DEFLATED
+    start = member.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[start + 26 : start + 30])
+    at = start + 30 + name_len + extra_len + member.compress_size // 2
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("damage", [_truncated, _flipped])
+def test_damaged_checkpoint_fails_cleanly(damage, tmp_path, capsys):
+    path = tmp_path / "policy.npz"
+    path.write_bytes(damage(CHECKPOINT.read_bytes()))
+    out = tmp_path / "out"
+    argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot read checkpoint {str(path)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, environ, message",
+    [
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__MINISLOT_SET": "[20]"},
+            "minislot_set entry 20 outside the mini-slot symbol range [1, 14]",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__MINISLOT_SET": "[0]"},
+            "minislot_set entry 0 outside the mini-slot symbol range [1, 14]",
+        ),
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_SCENARIO__MAX_BWPS_PER_UE_TIER": "0"},
+            "max_bwps_per_ue_tier must be None or at least 1, got 0",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__FOV__PARENT_MEAN": "50"},
+            "FoV support [0.6, 1.0] holds 0 of the parent normal's mass",
+        ),
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_SCENARIO__FOV__PARENT_MEAN": "50"},
+            "1000000 draws miss it with probability 1",
+        ),
+    ],
+)
+def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, monkeypatch, capsys):
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()

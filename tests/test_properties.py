@@ -7,6 +7,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -158,6 +159,42 @@ def test_first_fit_matches_brute_force(code, fw, tl):
     while (pos := occ.find_first_fit(shape)) is not None:
         occ.mark(*pos, shape, 7)
         assert occ.find_first_fit(shape) == brute_force_first_fit(occ.code, fw, tl)
+
+
+def free_int_of(code: np.ndarray) -> int:
+    """The free-cell int rebuilt cell by cell: bit t*F + f for free (f, t)."""
+    n_freq = code.shape[0]
+    return sum(1 << int(t * n_freq + f) for f, t in zip(*np.nonzero(code == 0)))
+
+
+# a shape one row too tall for the top rows would wrap into the next column
+@example(size=(3, 4), marks=[(0, 2, 1, 2)])
+@example(size=(3, 4), marks=[(0, 0, 1, 1), (0, 0, 2, 1)])
+@SETTINGS
+@given(
+    size=st.tuples(st.integers(1, 9), st.integers(1, 16)),
+    marks=st.lists(
+        st.tuples(st.integers(-2, 16), st.integers(-2, 9), st.integers(1, 6), st.integers(1, 4)),
+        max_size=16,
+    ),
+)
+def test_mark_keeps_the_free_int_and_refuses_bad_placements(size, marks):
+    n_freq, n_time = size
+    occ = Occupancy(GridDims(n_time_units=n_time, n_freq_units=n_freq, rb_size_shz=1.0))
+    for i, (t, f, tl, fw) in enumerate(marks):
+        shape = BwpShape(mu=0, eta=1, time_len_units=tl, freq_width_units=fw)
+        code, free = occ.code.copy(), occ._free_bits()
+        on_grid = t >= 0 and f >= 0 and t + tl <= n_time and f + fw <= n_freq
+        if on_grid and not code[f : f + fw, t : t + tl].any():
+            occ.mark(t, f, shape, 1 + i)
+            assert (occ.code[f : f + fw, t : t + tl] == 1 + i).all()
+        else:
+            with pytest.raises(ValueError, match="overlaps" if on_grid else "leaves"):
+                occ.mark(t, f, shape, 1 + i)
+            np.testing.assert_array_equal(occ.code, code)
+            assert occ._free == free
+        assert occ._free_bits() == free_int_of(occ.code)
+        assert occ.free_units() == occ.code.size - np.count_nonzero(occ.code)
 
 
 def _at(t, f, tl, fw):
