@@ -387,17 +387,11 @@ def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
             f"cannot read checkpoint {str(path)!r}: {type(exc).__name__}: {exc}"
         ) from None
     if "__meta__" not in members:
-        raise ValueError(f"{path!r} is not a checkpoint file")
-    meta = json.loads(bytes(members["__meta__"]).decode())
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-    raw = dict(meta["net_config"])
-    raw["conv"] = tuple(ConvSpec(**c) for c in raw["conv"])
-    raw["dense"] = tuple(raw["dense"])
-    config = NetConfig(**raw)
-    net = QNetwork(config)
+        raise ValueError(f"{str(path)!r} is not a checkpoint file")
+    config, expected, extra = _read_meta(path, members["__meta__"])
     params = {k[len("param/"):]: v for k, v in members.items() if k.startswith("param/")}
-    expected = net.param_shapes()
+    # checked before the network exists, so no size the metadata names is
+    # allocated unless the archive holds parameters that big
     if set(params) != set(expected):
         raise ValueError("checkpoint parameter set does not match architecture")
     for name, shape in expected.items():
@@ -406,4 +400,30 @@ def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
                 f"checkpoint parameter {name} has shape {params[name].shape}, "
                 f"the architecture needs {shape}"
             )
-    return net, params, meta["extra"]
+        if params[name].dtype != np.float64:
+            raise ValueError(f"checkpoint parameter {name} is {params[name].dtype}, not float64")
+    return QNetwork(config), params, extra
+
+
+def _read_meta(path, raw: np.ndarray) -> tuple[NetConfig, dict[str, tuple[int, ...]], dict]:
+    """The architecture, its parameter shapes and the extra fields of a
+    checkpoint's ``__meta__``; a ValueError naming ``path`` for anything
+    save_checkpoint would not have written."""
+    try:
+        meta = json.loads(bytes(raw).decode())
+        if not isinstance(meta, dict):
+            raise TypeError(f"a JSON {type(meta).__name__}, not an object")
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+        net = dict(meta["net_config"])
+        net["conv"] = tuple(ConvSpec(**c) for c in net["conv"])
+        net["dense"] = tuple(net["dense"])
+        extra = meta["extra"]
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra is a JSON {type(extra).__name__}, not an object")
+        config = NetConfig(**net)
+        return config, config.param_shapes(), extra
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(
+            f"bad metadata in checkpoint {str(path)!r}: {type(exc).__name__}: {exc}"
+        ) from None

@@ -107,6 +107,10 @@ class SchedulingEnv:
     ):
         self.config = config
         self.reward_params = reward or RewardParams()
+        if self.reward_params.max_steps < 1:
+            raise ValueError(
+                f"reward max_steps must be at least 1, got {self.reward_params.max_steps}"
+            )
         self.dims = config.dims()
         self.action_set: tuple[tuple[int, int], ...] = tuple(
             (mu, eta) for mu in config.numerology_set for eta in config.minislot_set

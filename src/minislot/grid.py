@@ -10,6 +10,7 @@ scheduling geometry reduces to integer rectangle packing.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +22,9 @@ SYMBOLS_PER_SLOT = 14
 SUBCARRIERS_PER_RB = 12
 BASE_SCS_KHZ = 15.0
 MAX_MINISLOT_SYMBOLS = 14
+MAX_NUMEROLOGY = 6  # NR's largest subcarrier-spacing exponent (960 kHz)
+# larger lattices are refused rather than allocated (the default has 1,344)
+MAX_LATTICE_CELLS = 1 << 22
 
 # tolerance when checking that frame duration / bandwidth are whole multiples
 # of the lattice cell size (frame durations like 2/7 ms are not exactly
@@ -55,18 +59,19 @@ class GridSpec:
     system_bandwidth_khz: float
 
     def __post_init__(self) -> None:
-        if self.mu_min < 0 or self.mu_max < self.mu_min:
+        if not 0 <= self.mu_min <= self.mu_max <= MAX_NUMEROLOGY:
             raise ConfigError(
-                f"numerology exponents must satisfy 0 <= mu_min <= mu_max, "
-                f"got mu_min={self.mu_min}, mu_max={self.mu_max}"
+                f"numerology exponents must satisfy 0 <= mu_min <= mu_max <= "
+                f"{MAX_NUMEROLOGY}, got mu_min={self.mu_min}, mu_max={self.mu_max}"
             )
-        if self.frame_duration_ms <= 0:
+        if not 0 < self.frame_duration_ms < math.inf:
             raise ConfigError(
-                f"frame_duration_ms must be positive, got {self.frame_duration_ms}"
+                f"frame_duration_ms must be positive and finite, got {self.frame_duration_ms}"
             )
-        if self.system_bandwidth_khz <= 0:
+        if not 0 < self.system_bandwidth_khz < math.inf:
             raise ConfigError(
-                f"system_bandwidth_khz must be positive, got {self.system_bandwidth_khz}"
+                f"system_bandwidth_khz must be positive and finite, got "
+                f"{self.system_bandwidth_khz}"
             )
 
     @property
@@ -110,6 +115,10 @@ def derive_grid(spec: GridSpec) -> GridDims:
     n_freq = _exact_units(
         spec.system_bandwidth_khz, spec.db_min_khz, "system_bandwidth_khz"
     )
+    if n_time * n_freq > MAX_LATTICE_CELLS:
+        raise ConfigError(
+            f"a {n_freq}x{n_time} lattice exceeds {MAX_LATTICE_CELLS} cells"
+        )
     return GridDims(
         n_time_units=n_time,
         n_freq_units=n_freq,

@@ -34,6 +34,51 @@ class NetConfig:
     conv: tuple[ConvSpec, ...] = (ConvSpec(8), ConvSpec(16))
     dense: tuple[int, ...] = (64,)
 
+    def __post_init__(self) -> None:
+        # a checkpoint's metadata builds configs, so check every size
+        if not (isinstance(self.conv, tuple) and all(type(c) is ConvSpec for c in self.conv)):
+            raise TypeError(f"conv must be a tuple of ConvSpec, got {self.conv!r}")
+        if not isinstance(self.dense, tuple):
+            raise TypeError(f"dense must be a tuple, got {self.dense!r}")
+        sizes = [self.grid_channels, self.grid_height, self.grid_width, self.aux_dim]
+        sizes += [self.n_actions, *self.dense]
+        sizes += [v for spec in self.conv for v in (spec.filters, spec.kernel, spec.stride)]
+        for v in sizes:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"network sizes must be positive ints, got {v!r} in {self}")
+        # a conv that skips input cells would let a small parameter set
+        # stand for an input, and so tap indices, of any size
+        for i, spec in enumerate(self.conv):
+            if spec.stride > spec.kernel:
+                raise ValueError(f"conv{i} stride {spec.stride} exceeds its kernel {spec.kernel}")
+
+    def conv_dims(self) -> list[tuple[int, int]]:
+        """(height, width) of each conv layer's output."""
+        dims, h, w = [], self.grid_height, self.grid_width
+        for spec in self.conv:
+            h = _conv_out(h, spec.kernel, spec.stride)
+            w = _conv_out(w, spec.kernel, spec.stride)
+            dims.append((h, w))
+        return dims
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, worked out without building the network."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        in_ch = self.grid_channels
+        for i, spec in enumerate(self.conv):
+            shapes[f"conv{i}/W"] = (in_ch * spec.kernel * spec.kernel, spec.filters)
+            shapes[f"conv{i}/b"] = (spec.filters,)
+            in_ch = spec.filters
+        h, w = (self.conv_dims() or [(self.grid_height, self.grid_width)])[-1]
+        width = in_ch * h * w + self.aux_dim
+        for i, units in enumerate(self.dense):
+            shapes[f"dense{i}/W"] = (width, units)
+            shapes[f"dense{i}/b"] = (units,)
+            width = units
+        shapes["out/W"] = (width, self.n_actions)
+        shapes["out/b"] = (self.n_actions,)
+        return shapes
+
 
 def default_net_config(
     grid_height: int, grid_width: int, aux_dim: int, n_actions: int
@@ -128,12 +173,8 @@ class QNetwork:
 
     def __init__(self, config: NetConfig):
         self.config = config
-        self.layer_dims: list[tuple] = []  # (h, w) after each conv
-        h, w = config.grid_height, config.grid_width
-        for spec in config.conv:
-            h = _conv_out(h, spec.kernel, spec.stride)
-            w = _conv_out(w, spec.kernel, spec.stride)
-            self.layer_dims.append((h, w))
+        self.layer_dims = config.conv_dims()  # (h, w) after each conv
+        h, w = (self.layer_dims or [(config.grid_height, config.grid_width)])[-1]
         channels = config.conv[-1].filters if config.conv else config.grid_channels
         self.flat_dim = channels * h * w
         self.dense_in = self.flat_dim + config.aux_dim
@@ -161,20 +202,7 @@ class QNetwork:
         return self._ws
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
-        in_ch = self.config.grid_channels
-        for i, spec in enumerate(self.config.conv):
-            shapes[f"conv{i}/W"] = (in_ch * spec.kernel * spec.kernel, spec.filters)
-            shapes[f"conv{i}/b"] = (spec.filters,)
-            in_ch = spec.filters
-        width = self.dense_in
-        for i, units in enumerate(self.config.dense):
-            shapes[f"dense{i}/W"] = (width, units)
-            shapes[f"dense{i}/b"] = (units,)
-            width = units
-        shapes["out/W"] = (width, self.config.n_actions)
-        shapes["out/b"] = (self.config.n_actions,)
-        return shapes
+        return self.config.param_shapes()
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         """Fan-in scaled uniform init, deterministic in the generator state."""

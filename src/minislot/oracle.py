@@ -4,22 +4,22 @@ The oracle plays the same environment protocol as the learned policy: it
 explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
 Two sequences often reach the same state (the same occupied cells, bits,
-counts and cursor), and what can follow a state depends on nothing else,
-so a table of exact state keys expands each reachable state once.  A
-node budget turns pathological instances into a clean error instead of
-an open-ended search.
+counts and cursor), and what can follow a state depends on nothing else.
+So each child is keyed exactly from its parent and action before it is
+made, and only a child whose key is new is cloned, stepped and searched:
+a repeated child costs no clone and no step.  A node budget turns pathological
+instances into a clean error instead of an open-ended search.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from struct import Struct
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
-from .grid import Tier
+from .grid import Tier, _cells
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
 from .scenario import ScenarioConfig, UeProfile
@@ -72,27 +72,55 @@ KEY_FIELDS = (
 )
 
 
-def state_key(env: SchedulingEnv) -> bytes:
-    """Exact key of a live state over ``KEY_FIELDS``.
+_DOUBLE = Struct("d")  # array("d")'s native float64 layout
 
-    Cells count only as occupied or free, the bits enter as their float64
-    bytes, unrounded, and the flags one byte each.  Every part but the two
-    queues has a fixed length per trial, and the first queue is
-    length-prefixed.
+
+def child_keys(env: SchedulingEnv, actions: list[int]) -> list[bytes]:
+    """Exact keys over ``KEY_FIELDS`` of the children that stepping the live
+    ``env`` by each of ``actions`` would make, computed without a step.
+
+    A step marks the action's stored first fit, adds its bits to the
+    active user's tier and counts it; the rest of what it changes (the
+    served flag, the queues, the next active user) follows from those
+    fields and the trial's constants.  So a key holds the fields just after
+    that add, with the cursor as the parent holds it, and equal keys mean
+    equal children.  The counts sum to the depth, so children of different
+    depths never share a key.  Cells count only as free or occupied, the
+    bits enter as their float64 bytes, unrounded, and the flags one byte
+    each.  Every part but the two queues has a fixed length per trial, and
+    the first queue is length-prefixed.
     """
+    ue = env._active
+    et = env.phase == Tier.ET
+    grid = env.occupancy
+    n_freq, n_time = grid.code.shape
+    n_bytes = (n_freq * n_time + 7) // 8
+    free = grid._free_bits()
     queue = env._bt_queue
-    active = len(env.profiles) if env._active is None else env._active
-    cursor = [env.phase == Tier.ET, active, len(queue), *queue, *env._et_rotation]
-    return b"".join((
-        np.packbits(env.occupancy.code).tobytes(),  # one bit per non-zero code
-        array("d", env.bt_bits).tobytes(),
-        array("d", env.et_bits).tobytes(),
-        array("q", env.bt_count).tobytes(),
-        array("q", env.et_count).tobytes(),
-        bytes(env.served),
-        bytes(env.bt_excluded),
-        array("q", cursor).tobytes(),
+    ints = [*env.bt_count, *env.et_count, et, ue, len(queue), *queue, *env._et_rotation]
+    slot = ue + et * len(env.bt_count)  # the acting user's entry in its tier
+    ints[slot] += 1
+    shared = b"".join((
+        array("d", env.bt_bits + env.et_bits).tobytes(),
+        bytes(env.served + env.bt_excluded),
+        array("q", ints).tobytes(),
     ))
+    # each child's own bits for the acting user go in the gap
+    before, after = shared[: 8 * slot], shared[8 * slot + 8 :]
+    bits = (env.et_bits if et else env.bt_bits)[ue]
+    added = env._added_bits[ue]
+    keys = []
+    for action in actions:
+        shape = env.shapes[action]
+        t, f = env._fits[action]
+        cells = _cells(n_freq, t, f, shape.freq_width_units, shape.time_len_units)
+        keys.append(b"".join((
+            (free ^ cells).to_bytes(n_bytes, "little"),
+            before,
+            _DOUBLE.pack(bits + added[action]),  # the float add step() makes
+            after,
+        )))
+    return keys
 
 
 class _Search:
@@ -110,10 +138,16 @@ class _Search:
         )
 
     def run(self, env: SchedulingEnv, prefix: tuple[int, ...]) -> None:
-        """Search below ``env``, which this call owns: its last child is
-        ``env`` itself, stepped in place once every other child has been
-        cloned from it.  A done env is never stepped again, so the
-        incumbent's leaf stays as it was found."""
+        """Search below ``env``, which this call owns.  Every feasible child
+        is keyed first; only those with an unseen key are made, each by a
+        clone of ``env`` but the last, which is ``env`` itself stepped in
+        place.  A done env is never stepped again, so the incumbent's leaf
+        stays as it was found.
+
+        All siblings' keys enter the table before any sibling is searched.
+        That blocks nothing the search would otherwise reach: a key only
+        matches a state of its own depth, and below an earlier sibling the
+        only state of that depth is the sibling itself."""
         if env.done:
             qoe = env.total_qoe()
             if qoe > self.best_qoe:
@@ -121,19 +155,21 @@ class _Search:
                 self.best_actions = prefix
                 self.best_env = env
             return
-        key = state_key(env)
-        if key in self.seen:
-            return
-        self.seen.add(key)
         mask = env.feasible_actions()
         actions = [a for a in self.action_order if mask[a]]
-        last = len(actions) - 1
-        for i, action in enumerate(actions):
-            self.nodes += 1
-            if self.nodes > self.caps.node_budget:
-                raise SearchSizeError(
-                    f"search exceeded node budget {self.caps.node_budget}"
-                )
+        self.nodes += len(actions)
+        if self.nodes > self.caps.node_budget:
+            raise SearchSizeError(
+                f"search exceeded node budget {self.caps.node_budget}"
+            )
+        seen = self.seen
+        fresh = []
+        for action, key in zip(actions, child_keys(env, actions)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(action)
+        last = len(fresh) - 1
+        for i, action in enumerate(fresh):
             child = env if i == last else env.clone()
             child.step(action)
             self.run(child, prefix + (action,))
@@ -146,12 +182,13 @@ def oracle_best_plan(
 ) -> OracleResult:
     """Best total QoE reachable through the environment protocol.
 
-    Each reachable state is expanded once.  Ties between action sequences
-    with equal QoE resolve toward the sequence found first in
-    large-shape-first order, which is fixed, so results are deterministic.
-    The table does not change that answer: the incumbent moves only on a
-    strict gain, and a repeated state's subtree holds the same leaf values
-    as its first copy, which came earlier in that order and reached them.
+    A child whose key was seen before, leaf or not, is neither made nor
+    searched again.  Ties between action sequences with equal QoE resolve
+    toward the sequence found first in large-shape-first order, which is
+    fixed, so results are deterministic.  The table does not change that
+    answer: the incumbent moves only on a strict gain, and a repeated
+    child's subtree holds the same leaf values as its first copy, which
+    came earlier in that order and reached them.
     """
     caps = caps or OracleCaps()
     env = SchedulingEnv(config)

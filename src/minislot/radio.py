@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 MIN_DISTANCE_M = 1.0
+MAX_ABS_DB = 300.0  # 1e30 in linear units; far past any real link
 
 
 def db_to_linear(db: float) -> float:
@@ -34,6 +35,23 @@ class LinkParams:
     noise_psd_dbm_hz: float = -169.0
     total_tx_psd_dbm_hz: float = -47.0
     tx_psd_backoff_db: float = 30.0
+
+    def check(self) -> None:
+        """Refuse a carrier frequency that is not positive and finite, and a
+        gain or PSD beyond ``MAX_ABS_DB``, whose linear value could
+        overflow or vanish."""
+        if not 0.0 < self.carrier_frequency_hz < math.inf:
+            raise ValueError(
+                f"carrier_frequency_hz must be positive and finite, got "
+                f"{self.carrier_frequency_hz}"
+            )
+        for name in (
+            "tx_gain_dbi", "rx_gain_dbi", "noise_psd_dbm_hz",
+            "total_tx_psd_dbm_hz", "tx_psd_backoff_db",
+        ):
+            value = getattr(self, name)
+            if not abs(value) <= MAX_ABS_DB:
+                raise ValueError(f"{name} must lie within ±{MAX_ABS_DB} dB, got {value}")
 
     @property
     def noise_psd_w_hz(self) -> float:

@@ -62,7 +62,9 @@ class FovModel:
 
     def check_reachable(self) -> None:
         """Refuse a support that all ``max_draws`` draws miss with a chance
-        above 1e-9, before any draw is made."""
+        above 1e-9, or fewer than one draw, before any draw is made."""
+        if self.max_draws < 1:
+            raise ValueError(f"FoV max_draws must be at least 1, got {self.max_draws}")
         mass = self.support_mass()
         miss = (1.0 - mass) ** self.max_draws
         if not miss <= 1e-9:  # NaN included
@@ -144,9 +146,9 @@ class ScenarioConfig:
                 f"max_bwps_per_ue_tier must be None or at least 1, got "
                 f"{self.max_bwps_per_ue_tier}"
             )
-        if self.min_distance_m < 1.0 or self.cell_radius_m < self.min_distance_m:
+        if not 1.0 <= self.min_distance_m <= self.cell_radius_m < math.inf:
             raise ValueError(
-                f"need 1 <= min_distance_m <= cell_radius_m, got "
+                f"need 1 <= min_distance_m <= cell_radius_m < inf, got "
                 f"[{self.min_distance_m}, {self.cell_radius_m}]"
             )
 
@@ -189,6 +191,7 @@ def sample_scenario(
     given generator state always produces the same scenario.
     """
     config.fov.check_reachable()
+    config.link.check()
     profiles = []
     for i in range(config.n_ues):
         distance = float(

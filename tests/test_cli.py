@@ -1,16 +1,22 @@
+import contextlib
 import io
 import json
+import math
 import os
 import struct
+import tempfile
 import zipfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minislot.agent import TrainConfig
+from minislot.agent import TrainConfig, load_checkpoint
 from minislot.cli import build_parser, main
-from minislot.config import save_config, tiny_experiment
+from minislot.config import save_config, tiny_experiment, to_dict
 
 CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "checkpoints" / "default-60ep-seed0.npz"
 
@@ -256,6 +262,69 @@ def test_damaged_checkpoint_fails_cleanly(damage, tmp_path, capsys):
     assert not out.exists()
 
 
+def _with_meta(edit):
+    """The fixed checkpoint's bytes with its metadata replaced by what
+    ``edit`` makes of it."""
+
+    def damage(data: bytes) -> bytes:
+        with np.load(io.BytesIO(data)) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = edit(json.loads(bytes(arrays["__meta__"]).decode()))
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+
+    return damage
+
+
+_DROP = object()
+
+
+def _set_leaf(keys, value=_DROP):
+    """An edit of a JSON tree that sets the entry at ``keys``, or drops it."""
+
+    def edit(meta):
+        node = meta
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return meta
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: [meta], "TypeError: a JSON list, not an object"),
+        (_set_leaf(["net_config"]), "KeyError: 'net_config'"),
+        (_set_leaf(["net_config", "depth"], 3), "unexpected keyword argument 'depth'"),
+        (_set_leaf(["net_config", "aux_dim"]), "missing 1 required positional argument: 'aux_dim'"),
+        (_set_leaf(["net_config", "conv", 0, "pad"], 1), "unexpected keyword argument 'pad'"),
+        (_set_leaf(["net_config", "conv", 1, "filters"]), "missing 1 required positional argument: 'filters'"),
+        (_set_leaf(["net_config", "conv"], 8), "TypeError: 'int' object is not iterable"),
+        (_set_leaf(["net_config", "grid_height"], -24), "positive ints, got -24"),
+        (_set_leaf(["net_config", "conv", 0, "stride"], 4), "conv0 stride 4 exceeds its kernel 3"),
+        (_set_leaf(["version"], 99), "unsupported checkpoint version 99"),
+    ],
+)
+def test_bad_checkpoint_metadata_fails_cleanly(edit, message, tmp_path, capsys):
+    path = tmp_path / "policy.npz"
+    path.write_bytes(_with_meta(edit)(CHECKPOINT.read_bytes()))
+    out = tmp_path / "out"
+    argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad metadata in checkpoint {str(path)!r}" in err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, environ, message",
     [
@@ -284,6 +353,46 @@ def test_damaged_checkpoint_fails_cleanly(damage, tmp_path, capsys):
             {"MINISLOT_SCENARIO__FOV__PARENT_MEAN": "50"},
             "1000000 draws miss it with probability 1",
         ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__CELL_RADIUS_M": "Infinity"},
+            "need 1 <= min_distance_m <= cell_radius_m < inf, got [72.0, inf]",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__GRID__MU_MAX": "7"},
+            "0 <= mu_min <= mu_max <= 6, got mu_min=1, mu_max=7",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__GRID__FRAME_DURATION_MS": "NaN"},
+            "frame_duration_ms must be positive and finite, got nan",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__GRID__SYSTEM_BANDWIDTH_KHZ": "2.88e24"},
+            "a 8000000000000000000000x16 lattice exceeds 4194304 cells",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__LINK__CARRIER_FREQUENCY_HZ": "0"},
+            "carrier_frequency_hz must be positive and finite, got 0",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__LINK__NOISE_PSD_DBM_HZ": "-Infinity"},
+            "noise_psd_dbm_hz must lie within ±300.0 dB, got -inf",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__FOV__MAX_DRAWS": "-5"},
+            "FoV max_draws must be at least 1, got -5",
+        ),
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_REWARD__MAX_STEPS": "0"},
+            "reward max_steps must be at least 1, got 0",
+        ),
     ],
 )
 def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, monkeypatch, capsys):
@@ -295,3 +404,133 @@ def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, m
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+# ---------- generated inputs ----------
+
+
+def _leaves(node, path=()):
+    """Paths to the scalar and list leaves of a JSON tree (lists of objects
+    are walked into)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+with np.load(CHECKPOINT) as _archive:
+    META = json.loads(bytes(_archive["__meta__"]).decode())
+TINY = json.loads(json.dumps(to_dict(tiny_experiment())))  # tuples as lists
+CONFIG_LEAVES = _leaves(TINY)
+META_LEAVES = _leaves(META)
+OUT_OF_RANGE = [0, -1, 1.5, 10**30, math.nan, math.inf, -math.inf, None, True, "x", [], {}]
+
+
+def _values(value):
+    """A leaf's own value, a nearby one, or one of ``OUT_OF_RANGE``.  No
+    nearby value is far from the original, so the work stays small."""
+    if isinstance(value, bool) or value is None:
+        nearby = [not value]
+    elif isinstance(value, int):
+        nearby = [value - 1, value + 1, 2 * value, value // 2]
+    elif isinstance(value, float):
+        nearby = [0.5 * value, 0.9 * value, 1.1 * value, 2.0 * value, -value]
+    elif isinstance(value, list):
+        nearby = [value[:1], value + value[:1], value[::-1], [2 * v for v in value]]
+    else:
+        nearby = [value + "x"]
+    return st.sampled_from([value, *nearby, *OUT_OF_RANGE])
+
+
+@st.composite
+def _config_cases(draw):
+    """A tiny experiment with one leaf changed, run through baseline or
+    train: (what was drawn, a function that writes the inputs into a
+    directory and returns the command line)."""
+    path = draw(st.sampled_from(CONFIG_LEAVES))
+    value = draw(_values(_get(TINY, path)))
+    command = draw(st.sampled_from([
+        ["baseline", "--trials", "2"],
+        ["train", "--episodes", "3", "--quiet"],
+    ]))
+
+    def setup(tmp: Path) -> list[str]:
+        config = json.loads(json.dumps(TINY))
+        _set_leaf(list(path), value)(config)
+        (tmp / "experiment.json").write_text(json.dumps(config))
+        return command + ["--config", str(tmp / "experiment.json")]
+
+    return f"{command[0]} with {'.'.join(map(str, path))} = {value!r}", setup
+
+
+@st.composite
+def _checkpoint_cases(draw):
+    """The fixed checkpoint truncated, with one byte flipped, or with one
+    metadata leaf changed or dropped, run through eval; drawn as by
+    ``_config_cases``."""
+    data = CHECKPOINT.read_bytes()
+    kind = draw(st.sampled_from(["truncated", "flipped", "metadata"]))
+    if kind == "truncated":
+        size = draw(st.integers(0, len(data) - 1))
+        label, data = f"checkpoint truncated to {size} bytes", data[:size]
+    elif kind == "flipped":
+        at, mask = draw(st.integers(0, len(data) - 1)), draw(st.integers(1, 255))
+        label = f"checkpoint byte {at} xor {mask}"
+        data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+    else:
+        path = draw(st.sampled_from(META_LEAVES))
+        value = draw(st.just(_DROP) | _values(_get(META, path)))
+        change = "dropped" if value is _DROP else f"= {value!r}"
+        label = f"checkpoint metadata {'.'.join(map(str, path))} {change}"
+        data = _with_meta(_set_leaf(list(path), value))(data)
+
+    def setup(tmp: Path) -> list[str]:
+        (tmp / "policy.npz").write_bytes(data)
+        return ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(tmp / "policy.npz")]
+
+    return label, setup
+
+
+def _check_outputs(argv: list[str], out: Path) -> None:
+    """What a run that exits 0 leaves behind."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"].startswith(f"minislot {argv[0]}")
+    if argv[0] == "train":
+        lines = (out / "training.csv").read_text().splitlines()
+        assert len(lines) == 1 + int(argv[2])
+        load_checkpoint(out / "checkpoint.npz")
+    else:
+        rows = 2 * 2 if argv[0] == "baseline" else 1
+        assert len((out / "eval.csv").read_text().splitlines()) == 1 + rows
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=st.one_of(_config_cases(), _checkpoint_cases()))
+def test_generated_inputs_run_or_fail_cleanly(case):
+    """A config leaf or a checkpoint changed anyhow: the run either exits 0
+    with well-formed outputs, or exits 1 with one ``error:`` line and no
+    output directory, never a traceback."""
+    _, setup = case  # the label shows in a failing example
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = setup(tmp)
+        out = tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+        if code == 0:
+            _check_outputs(argv, out)
+        else:
+            assert code == 1
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            assert not out.exists()

@@ -1,6 +1,7 @@
-"""The oracle's table of seen states: its key covers every part of the
-environment that decides what can follow a state, and the search it
-shortens still returns what plain enumeration returns."""
+"""The oracle's table of seen states: the key it computes for a child
+before making it covers every part of the environment that decides what
+can follow, equal keys step to equal states, and the search it shortens
+still returns what plain enumeration returns."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier
-from minislot.oracle import KEY_FIELDS, oracle_best_plan, state_key
+from minislot.oracle import KEY_FIELDS, child_keys, oracle_best_plan
 from minislot.scenario import scenario_for_trial, tiny_config
 
 # SchedulingEnv attributes the key leaves out
@@ -45,6 +46,11 @@ def live_states():
     return states
 
 
+def keys(env):
+    """The child key of every feasible action of ``env``."""
+    return child_keys(env, [int(a) for a in np.flatnonzero(env.feasible_actions())])
+
+
 def test_key_fields_and_exclusions_cover_the_env_state():
     assert not NOT_KEYED & set(KEY_FIELDS)
     for env in live_states():
@@ -52,15 +58,25 @@ def test_key_fields_and_exclusions_cover_the_env_state():
         assert env.step_count == sum(env.bt_count) + sum(env.et_count)
 
 
-def _flip_free_cell(env):
-    env.occupancy.code.flat[np.flatnonzero(env.occupancy.code == 0)[0]] = 1
+def _occupy_last_free_cell(env):
+    # the free-cell int is rebuilt from the codes
+    grid = env.occupancy
+    grid.code.T.flat[np.flatnonzero(grid.code.T == 0)[-1]] = 1
+    grid._free = None
 
 
-# one change per key field; each must change the key
+def _other(env):
+    """A user other than the active one."""
+    return (env._active + 1) % len(env.profiles)
+
+
+# one change per key field of a live parent; each must change the key of
+# every child.  The bits change by one ulp on a user that does not act, so
+# no add can absorb the change.
 PERTURB = {
-    "occupancy": _flip_free_cell,
-    "bt_bits": lambda e: e.bt_bits.__setitem__(0, np.nextafter(e.bt_bits[0], 1.0)),
-    "et_bits": lambda e: e.et_bits.__setitem__(0, np.nextafter(e.et_bits[0], 1.0)),
+    "occupancy": _occupy_last_free_cell,
+    "bt_bits": lambda e: e.bt_bits.__setitem__(_other(e), np.nextafter(e.bt_bits[_other(e)], 1.0)),
+    "et_bits": lambda e: e.et_bits.__setitem__(_other(e), np.nextafter(e.et_bits[_other(e)], 1.0)),
     "bt_count": lambda e: e.bt_count.__setitem__(1, e.bt_count[1] + 1),
     "et_count": lambda e: e.et_count.__setitem__(1, e.et_count[1] + 1),
     "served": lambda e: e.served.__setitem__(1, not e.served[1]),
@@ -68,30 +84,32 @@ PERTURB = {
     "phase": lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT),
     "_bt_queue": lambda e: e._bt_queue.append(0),
     "_et_rotation": lambda e: e._et_rotation.append(0),
-    "_active": lambda e: setattr(e, "_active", None),
+    "_active": lambda e: setattr(e, "_active", _other(e)),
 }
 
 
 def test_every_key_field_changes_the_key():
     assert set(PERTURB) == set(KEY_FIELDS)
     for env in live_states():
-        key = state_key(env)
+        base = keys(env)
         for name, perturb in PERTURB.items():
             other = env.clone()
             perturb(other)
-            assert state_key(other) != key, name
+            for a, b in zip(base, keys(other), strict=True):
+                assert a != b, name
 
 
 def test_key_ignores_owners_and_splits_the_queues():
-    env = live_states()[-1]
-    recoloured = env.clone()
-    code = recoloured.occupancy.code
-    code[code > 0] = 200
-    assert state_key(recoloured) == state_key(env)
+    for env in live_states():
+        recoloured = env.clone()
+        code = recoloured.occupancy.code
+        code[code > 0] = 200
+        recoloured.occupancy._free = None  # rebuilt from the new codes
+        assert keys(recoloured) == keys(env)
     a, b = env.clone(), env.clone()
     a._bt_queue, a._et_rotation = [0], []
     b._bt_queue, b._et_rotation = [], [0]
-    assert state_key(a) != state_key(b)
+    assert set(keys(a)).isdisjoint(keys(b))
 
 
 def plain_best(env: SchedulingEnv) -> tuple[float, tuple[int, ...]]:
@@ -178,3 +196,49 @@ def test_oracle_matches_plain_enumeration(config, trial):
     for action in result.actions:
         replay.step(action)
     assert result.plan == replay.plan()
+
+
+def key_fields(env):
+    """``env``'s ``KEY_FIELDS``, the grid as its occupied cells."""
+    return [
+        (env.occupancy.code > 0).tolist() if name == "occupancy" else getattr(env, name)
+        for name in KEY_FIELDS
+    ]
+
+
+def check_equal_keys_step_alike(config, trial) -> int:
+    """Steps every (state, action) pair below the reset state, searching
+    each distinct child once as the oracle does, and requires any two
+    pairs with one key to step to states equal on every key field and in
+    being done.  Returns how many pairs repeated an earlier key."""
+    env = SchedulingEnv(config)
+    env.reset(profiles=tuple(scenario_for_trial(config, trial)))
+    first: dict[bytes, SchedulingEnv] = {}
+    stack = [] if env.done else [env]
+    repeats = 0
+    while stack:
+        node = stack.pop()
+        actions = [int(a) for a in np.flatnonzero(node.feasible_actions())]
+        for action, key in zip(actions, child_keys(node, actions), strict=True):
+            child = node.clone()
+            child.step(action)
+            if key not in first:
+                first[key] = child
+                if not child.done:
+                    stack.append(child)
+                continue
+            repeats += 1
+            assert key_fields(child) == key_fields(first[key])
+            assert child.done == first[key].done
+    return repeats
+
+
+def test_repeated_child_keys_occur_and_step_alike():
+    config = tiny_config(rng_seed=1)
+    assert check_equal_keys_step_alike(config, 1) > 0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(config=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
+def test_equal_child_keys_step_to_equal_states(config, trial):
+    check_equal_keys_step_alike(config, trial)
