@@ -10,13 +10,15 @@ half of the frame and enhancement tier in the second half.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .grid import (
+    MAX_MINISLOT_SYMBOLS,
     BwpAllocation,
-    BwpShape,
-    GridDims,
+    GridSpec,
     Tier,
     bwp_shape,
+    derive_grid,
     validate_allocation_set,
 )
 from .qoe import QoeReport, evaluate_ue
@@ -53,7 +55,7 @@ def band_rows(n_freq_units: int, n_ues: int) -> list[tuple[int, int]]:
 
 
 def tile_span(
-    config: ScenarioConfig, ue_index: int, tier: Tier, row: int, col0: int, span: int
+    spec: GridSpec, ue_index: int, tier: Tier, row: int, col0: int, span: int
 ) -> list[BwpAllocation]:
     """Tile ``span`` columns of one lattice row with valid BWPs.
 
@@ -61,12 +63,11 @@ def tile_span(
     mini-slot that fits, repeatedly; a remainder shorter than one symbol
     group stays unallocated.
     """
-    spec = config.grid
     stride = 2 ** (spec.mu_max - spec.mu_min)  # columns per symbol at mu_min
     allocations = []
     col = col0
     while span - (col - col0) >= stride:
-        eta = min(14, (span - (col - col0)) // stride)
+        eta = min(MAX_MINISLOT_SYMBOLS, (span - (col - col0)) // stride)
         shape = bwp_shape(spec.mu_min, eta, spec)
         allocations.append(
             BwpAllocation(
@@ -81,32 +82,67 @@ def tile_span(
     return allocations
 
 
+@cache
+def _band_tiling(
+    spec: GridSpec,
+    n_ues: int,
+    spans: tuple[tuple[Tier, int, int], ...],
+    indices: tuple[int, ...],
+) -> tuple[tuple[BwpAllocation, ...], tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]]:
+    """The allocations of a band split, and per user the areas (s*Hz) of its
+    base-tier and of its enhancement-tier tiles, each in tiling order.
+
+    Every user gets the same per-row column spans inside its own frequency
+    band.  The tiling depends on nothing a trial draws, so it is built and
+    validated once per key; a split adds each user's spectral efficiency
+    times these areas.
+    """
+    dims = derive_grid(spec)
+    allocations: list[BwpAllocation] = []
+    areas = []
+    for index, (row0, n_rows) in zip(indices, band_rows(dims.n_freq_units, n_ues)):
+        tier_areas: dict[Tier, list[float]] = {Tier.BT: [], Tier.ET: []}
+        for tier, col0, span in spans:
+            for row in range(row0, row0 + n_rows):
+                for alloc in tile_span(spec, index, tier, row, col0, span):
+                    allocations.append(alloc)
+                    tier_areas[tier].append(alloc.shape.area_shz(dims))
+        areas.append((tuple(tier_areas[Tier.BT]), tuple(tier_areas[Tier.ET])))
+    assert validate_allocation_set(allocations, dims)
+    return tuple(allocations), tuple(areas)
+
+
 def _band_plan(
     config: ScenarioConfig,
     profiles: list[UeProfile],
-    spans: list[tuple[Tier, int, int]],
+    spans: tuple[tuple[Tier, int, int], ...],
 ) -> AllocationPlan:
-    """Shared builder: every user gets the same per-row column spans inside
-    its own frequency band."""
-    dims = config.dims()
-    allocations: list[BwpAllocation] = []
-    reports: list[QoeReport] = []
-    for profile, (row0, n_rows) in zip(profiles, band_rows(dims.n_freq_units, config.n_ues)):
-        bits = {Tier.BT: 0.0, Tier.ET: 0.0}
-        for tier, col0, span in spans:
-            for row in range(row0, row0 + n_rows):
-                for alloc in tile_span(config, profile.index, tier, row, col0, span):
-                    allocations.append(alloc)
-                    bits[tier] += (
-                        alloc.shape.area_shz(dims) * profile.link.spectral_efficiency
-                    )
+    """A band split's plan: its cached tiling, and each user's bits summed
+    tile by tile in tiling order."""
+    allocations, areas = _band_tiling(
+        config.grid, config.n_ues, spans, tuple(p.index for p in profiles)
+    )
+    reports = []
+    for profile, (bt_areas, et_areas) in zip(profiles, areas):
+        efficiency = profile.link.spectral_efficiency
         reports.append(
             evaluate_ue(
-                bits[Tier.BT], bits[Tier.ET], config.frame_duration_s, profile.qoe
+                _tile_bits(bt_areas, efficiency),
+                _tile_bits(et_areas, efficiency),
+                config.frame_duration_s,
+                profile.qoe,
             )
         )
-    assert validate_allocation_set(allocations, dims)
-    return AllocationPlan(allocations=tuple(allocations), reports=tuple(reports))
+    return AllocationPlan(allocations=allocations, reports=tuple(reports))
+
+
+def _tile_bits(areas: tuple[float, ...], efficiency: float) -> float:
+    """Bits per frame over tiles of the given areas, added in order from 0.0
+    (not ``sum``, whose float summation may differ between Python versions)."""
+    bits = 0.0
+    for area in areas:
+        bits += area * efficiency
+    return bits
 
 
 def equal_bandwidth_plan(
@@ -115,7 +151,7 @@ def equal_bandwidth_plan(
     """Equal bandwidth split, whole frame, all base tier (no FoV prediction,
     so the combined QoE has no enhancement term)."""
     dims = config.dims()
-    return _band_plan(config, profiles, [(Tier.BT, 0, dims.n_time_units)])
+    return _band_plan(config, profiles, ((Tier.BT, 0, dims.n_time_units),))
 
 
 def equal_time_frequency_plan(
@@ -128,5 +164,5 @@ def equal_time_frequency_plan(
     return _band_plan(
         config,
         profiles,
-        [(Tier.BT, 0, half), (Tier.ET, half, dims.n_time_units - half)],
+        ((Tier.BT, 0, half), (Tier.ET, half, dims.n_time_units - half)),
     )

@@ -1,8 +1,10 @@
 """CSV and manifest writers for experiment runs.
 
 All files are written atomically (temp file in the destination directory,
-then rename) and floats are formatted with repr-faithful ``%.10g`` so two
-runs with the same seed produce byte-identical artifacts.
+then rename) and floats are formatted with ``%.10g``: ten significant
+digits, which do not round-trip every float64, but are the same text
+for the same bits, so two runs with the same seed produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations

@@ -121,22 +121,20 @@ def run_eval(
                 f"checkpoint {checkpoint} fits (grid_height, grid_width, aux_dim, "
                 f"n_actions) = {trained}, but this config needs {needed}"
             )
+    # every method but the oracle, whose workers draw their own, sees one
+    # draw of each trial
+    if set(methods) - {ORACLE}:
         for trial in range(n_trials):
             profiles = scenario_for_trial(config.scenario, trial)
-            plan = greedy_rollout(env, net, params, profiles=profiles)
-            rows.append(_plan_row(trial, DQN, plan))
-    for trial in range(n_trials):
-        profiles = scenario_for_trial(config.scenario, trial)
-        if EQUAL_BANDWIDTH in methods:
-            rows.append(
-                _plan_row(trial, EQUAL_BANDWIDTH, equal_bandwidth_plan(config.scenario, profiles))
-            )
-        if EQUAL_TIME_FREQUENCY in methods:
-            rows.append(
-                _plan_row(
-                    trial, EQUAL_TIME_FREQUENCY, equal_time_frequency_plan(config.scenario, profiles)
-                )
-            )
+            if DQN in methods:
+                plan = greedy_rollout(env, net, params, profiles=profiles)
+                rows.append(_plan_row(trial, DQN, plan))
+            if EQUAL_BANDWIDTH in methods:
+                plan = equal_bandwidth_plan(config.scenario, profiles)
+                rows.append(_plan_row(trial, EQUAL_BANDWIDTH, plan))
+            if EQUAL_TIME_FREQUENCY in methods:
+                plan = equal_time_frequency_plan(config.scenario, profiles)
+                rows.append(_plan_row(trial, EQUAL_TIME_FREQUENCY, plan))
     if ORACLE in methods:
         tasks = [(config, trial, oracle_caps) for trial in range(n_trials)]
         if jobs > 1:

@@ -1,14 +1,32 @@
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minislot.baselines import (
+    AllocationPlan,
     band_rows,
     equal_bandwidth_plan,
     equal_time_frequency_plan,
 )
-from minislot.grid import Tier, validate_allocation_set
-from minislot.scenario import default_config, scenario_for_trial, tiny_config
+from minislot.grid import (
+    BwpAllocation,
+    GridSpec,
+    Tier,
+    bwp_shape,
+    validate_allocation_set,
+)
+from minislot.qoe import QoeReport, evaluate_ue
+from minislot.radio import LinkState
+from minislot.scenario import (
+    ScenarioConfig,
+    UeProfile,
+    default_config,
+    scenario_for_trial,
+    tiny_config,
+)
 
 
 def _tier_cells(plan, ue, tier):
@@ -133,3 +151,133 @@ def test_time_frequency_minus_bandwidth_matches_closed_form():
             assert gap > 0.0  # rho >= 0.6 here, above the 0.46 crossover
             assert r_tf.q_combined - r_bw.q_combined == pytest.approx(gap, abs=1e-12)
         assert tf.total_qoe > bw.total_qoe
+
+
+# ---------- the cached tiling against the per-call builder it replaced ----------
+#
+# reference_tile_span and reference_band_plan are the builder that tiled and
+# validated every split on every call, copied unchanged but for their names.
+
+
+def reference_tile_span(
+    config: ScenarioConfig, ue_index: int, tier: Tier, row: int, col0: int, span: int
+) -> list[BwpAllocation]:
+    spec = config.grid
+    stride = 2 ** (spec.mu_max - spec.mu_min)  # columns per symbol at mu_min
+    allocations = []
+    col = col0
+    while span - (col - col0) >= stride:
+        eta = min(14, (span - (col - col0)) // stride)
+        shape = bwp_shape(spec.mu_min, eta, spec)
+        allocations.append(
+            BwpAllocation(
+                ue_index=ue_index,
+                tier=tier,
+                shape=shape,
+                time_offset_units=col,
+                freq_offset_units=row,
+            )
+        )
+        col += shape.time_len_units
+    return allocations
+
+
+def reference_band_plan(
+    config: ScenarioConfig,
+    profiles: list[UeProfile],
+    spans: list[tuple[Tier, int, int]],
+) -> AllocationPlan:
+    dims = config.dims()
+    allocations: list[BwpAllocation] = []
+    reports: list[QoeReport] = []
+    for profile, (row0, n_rows) in zip(profiles, band_rows(dims.n_freq_units, config.n_ues)):
+        bits = {Tier.BT: 0.0, Tier.ET: 0.0}
+        for tier, col0, span in spans:
+            for row in range(row0, row0 + n_rows):
+                for alloc in reference_tile_span(config, profile.index, tier, row, col0, span):
+                    allocations.append(alloc)
+                    bits[tier] += (
+                        alloc.shape.area_shz(dims) * profile.link.spectral_efficiency
+                    )
+        reports.append(
+            evaluate_ue(
+                bits[Tier.BT], bits[Tier.ET], config.frame_duration_s, profile.qoe
+            )
+        )
+    assert validate_allocation_set(allocations, dims)
+    return AllocationPlan(allocations=tuple(allocations), reports=tuple(reports))
+
+
+def reference_plans(config, profiles):
+    n_time = config.dims().n_time_units
+    half = n_time // 2
+    return {
+        "equal_bandwidth": reference_band_plan(config, profiles, [(Tier.BT, 0, n_time)]),
+        "equal_time_frequency": reference_band_plan(
+            config, profiles, [(Tier.BT, 0, half), (Tier.ET, half, n_time - half)]
+        ),
+    }
+
+
+@st.composite
+def split_cases(draw):
+    """A grid ``derive_grid`` accepts, with symbol strides of 1 to 4
+    columns, 1 to 6 users (bands of unequal, or no, rows included) and
+    drawn spectral efficiencies (0 included: a user with no bits).  The
+    profiles' indices are shuffled, as the tiling is keyed on them."""
+    mu_min = draw(st.integers(0, 4))
+    mu_max = mu_min + draw(st.integers(0, 2))
+    n_time = draw(st.integers(1, 64))
+    n_freq = draw(st.integers(1, 16))
+    n_ues = draw(st.integers(1, 6))
+    config = tiny_config(
+        n_ues=n_ues,
+        grid=GridSpec(
+            mu_min=mu_min,
+            mu_max=mu_max,
+            frame_duration_ms=n_time / (14 * 2**mu_max),
+            system_bandwidth_khz=n_freq * 180.0 * 2**mu_min,
+        ),
+        numerology_set=(mu_min,),
+        minislot_set=(1,),
+        min_qoe=tuple(draw(st.floats(-5.0, 15.0)) for _ in range(n_ues)),
+    )
+    profiles = []
+    for i in draw(st.permutations(range(n_ues))):
+        fov_prob = draw(st.floats(0.6, 1.0))
+        efficiency = draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0)))
+        profiles.append(
+            UeProfile(
+                index=i,
+                distance_m=100.0,
+                fov_prob=fov_prob,
+                qoe=config.qoe_params(i, fov_prob),
+                link=LinkState(100.0, 1e-9, 2.0**efficiency - 1.0, efficiency),
+            )
+        )
+    return config, profiles
+
+
+def _report_bytes(report: QoeReport) -> tuple[bytes, bool]:
+    floats = (report.bt_rate, report.total_rate, report.q_bt, report.q_combined)
+    return struct.pack("<4d", *floats), report.served
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=split_cases())
+@example(case=(default_config(), scenario_for_trial(default_config(), 0)))
+def test_cached_tiling_matches_per_call_builder(case):
+    config, profiles = case
+    reference = reference_plans(config, profiles)
+    for name, split in (
+        ("equal_bandwidth", equal_bandwidth_plan),
+        ("equal_time_frequency", equal_time_frequency_plan),
+    ):
+        ref = reference[name]
+        for plan in (split(config, profiles), split(config, profiles)):  # built, then cached
+            assert plan.allocations == ref.allocations
+            assert [_report_bytes(r) for r in plan.reports] == [
+                _report_bytes(r) for r in ref.reports
+            ]
+            assert validate_allocation_set(plan.allocations, config.dims())
+

@@ -1,10 +1,24 @@
-"""The library's evaluation entry point refuses empty work before it
-writes anything."""
+"""The library's evaluation entry point: it refuses empty work before it
+writes anything, and draws each trial once for every method it runs."""
 
+import numpy as np
 import pytest
 
+import minislot.runner
+from minislot.agent import greedy_rollout, save_checkpoint
+from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
-from minislot.runner import EQUAL_BANDWIDTH, ORACLE, run_eval
+from minislot.net import QNetwork, default_net_config
+from minislot.runner import (
+    DQN,
+    EQUAL_BANDWIDTH,
+    EQUAL_TIME_FREQUENCY,
+    ORACLE,
+    _plan_row,
+    build_env,
+    run_eval,
+)
+from minislot.scenario import scenario_for_trial
 
 
 @pytest.mark.parametrize(
@@ -23,3 +37,48 @@ def test_run_eval_refuses_empty_work(config, kwargs, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         run_eval(tiny_experiment(**config), str(out), **kwargs)
     assert not out.exists()
+
+
+def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
+    config = tiny_experiment()
+    env = build_env(config)
+    net = QNetwork(
+        default_net_config(
+            env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions
+        )
+    )
+    params = net.init_params(np.random.default_rng(0))
+    checkpoint = tmp_path / "init.npz"
+    save_checkpoint(checkpoint, net, params)
+    drawn = []
+
+    def counted(scenario, trial):
+        drawn.append(trial)
+        return scenario_for_trial(scenario, trial)
+
+    monkeypatch.setattr(minislot.runner, "scenario_for_trial", counted)
+    rows = run_eval(
+        config,
+        str(tmp_path / "out"),
+        methods=(DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY),
+        checkpoint=str(checkpoint),
+        n_trials=3,
+    )
+    assert drawn == [0, 1, 2]
+
+    expected = []
+    for trial in range(3):
+        profiles = scenario_for_trial(config.scenario, trial)
+        expected += [
+            _plan_row(trial, DQN, greedy_rollout(env, net, params, profiles=profiles)),
+            _plan_row(
+                trial, EQUAL_BANDWIDTH, equal_bandwidth_plan(config.scenario, profiles)
+            ),
+            _plan_row(
+                trial,
+                EQUAL_TIME_FREQUENCY,
+                equal_time_frequency_plan(config.scenario, profiles),
+            ),
+        ]
+    expected.sort(key=lambda r: (r["trial"], r["method"]))
+    assert rows == expected
