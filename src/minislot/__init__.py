@@ -47,7 +47,7 @@ from .agent import (
     save_checkpoint,
     train,
 )
-from .oracle import OracleCaps, OracleResult, SearchSizeError, oracle_best_plan
+from .oracle import OracleResult, SearchSizeError, oracle_best_plan
 from .config import (
     ExperimentConfig,
     apply_env_overrides,

@@ -27,6 +27,8 @@ from .scenario import (
     STREAM_EPISODE,
     STREAM_REPLAY,
     STREAM_WEIGHTS,
+    UeProfile,
+    sample_scenario,
     stream_rng,
 )
 
@@ -233,23 +235,28 @@ def _td_targets(
     return targets
 
 
-def train(
-    env: SchedulingEnv,
-    cfg: TrainConfig,
-    net_config: NetConfig | None = None,
-    on_episode=None,
-) -> TrainResult:
+def _observe(env: SchedulingEnv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(uint8 cell grid, float32 aux vector, feasible mask) of the live
+    ``env``; all zeros once it is done, as a terminal next state is stored."""
+    if env.done:
+        return (
+            np.zeros_like(env.occupancy.code),
+            np.zeros(env.aux_dim, np.float32),
+            np.zeros(env.n_actions, bool),
+        )
+    return (*env.compact_observation(), env.feasible_actions())
+
+
+def train(env: SchedulingEnv, cfg: TrainConfig, on_episode=None) -> TrainResult:
     """Run the full training loop; one fresh scenario per episode.
 
     Every stochastic choice draws from a stream keyed on ``cfg.seed`` so a
     repeated call reproduces the run exactly.
     """
     dims = env.dims
-    if net_config is None:
-        net_config = default_net_config(
-            dims.n_freq_units, dims.n_time_units, env.aux_dim, env.n_actions
-        )
-    net = QNetwork(net_config)
+    net = QNetwork(
+        default_net_config(dims.n_freq_units, dims.n_time_units, env.aux_dim, env.n_actions)
+    )
     params = net.init_params(stream_rng(cfg.seed, STREAM_WEIGHTS))
     target_params = {k: v.copy() for k, v in params.items()}
 
@@ -267,7 +274,7 @@ def train(
     # one minibatch's observation channels: the next states' for the TD
     # targets, then the states' for the gradient step
     grids = np.empty(
-        (cfg.batch_size, net_config.grid_channels, dims.n_freq_units, dims.n_time_units),
+        (cfg.batch_size, net.config.grid_channels, dims.n_freq_units, dims.n_time_units),
         np.float32,
     )
 
@@ -275,24 +282,18 @@ def train(
     grad_steps = 0
     for episode in range(cfg.episodes):
         eps = epsilon_at(cfg, episode)
-        env.reset(rng=stream_rng(cfg.seed, STREAM_EPISODE, episode))
+        env.reset(sample_scenario(env.config, stream_rng(cfg.seed, STREAM_EPISODE, episode)))
         total_reward = 0.0
+        state = _observe(env)
         while not env.done:
-            cell, aux = env.compact_observation()
-            mask = env.feasible_actions()
+            cell, aux, mask = state
             action = act_epsilon_greedy(
                 net, params, cell, aux, mask, eps, action_rng, env.config.n_ues
             )
             reward, done = env.step(action)
             total_reward += reward
-            if done:
-                next_cell = np.zeros_like(cell)
-                next_aux = np.zeros_like(aux)
-                next_mask = np.zeros(env.n_actions, bool)
-            else:
-                next_cell, next_aux = env.compact_observation()
-                next_mask = env.feasible_actions()
-            buffer.add(cell, aux, action, reward, done, next_cell, next_aux, next_mask)
+            state = _observe(env)
+            buffer.add(cell, aux, action, reward, done, *state)
 
             if buffer.size >= warmup:
                 batch = buffer.sample(cfg.batch_size, replay_rng)
@@ -333,12 +334,12 @@ def greedy_rollout(
     env: SchedulingEnv,
     net: QNetwork,
     params: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
-    profiles=None,
+    profiles: list[UeProfile],
 ) -> AllocationPlan:
-    """Play one episode with the greedy masked policy; ``env`` keeps the
-    finished episode (its outcome, steps and bookkeeping)."""
-    env.reset(rng=rng, profiles=profiles)
+    """Play one episode on the trial ``profiles`` with the greedy masked
+    policy; ``env`` keeps the finished episode (its outcome, steps and
+    bookkeeping)."""
+    env.reset(profiles)
     while not env.done:
         cell, aux = env.compact_observation()
         mask = env.feasible_actions()

@@ -27,13 +27,7 @@ from .grid import BwpAllocation, BwpShape, Occupancy, Tier, bwp_shape
 from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate, qoe_fn  # noqa: F401
-from .scenario import (
-    STREAM_SCENARIO,
-    ScenarioConfig,
-    UeProfile,
-    sample_scenario,
-    stream_rng,
-)
+from .scenario import ScenarioConfig, UeProfile
 
 
 @dataclass(frozen=True)
@@ -46,6 +40,15 @@ class RewardParams:
     violation_penalty: float = -2.0
     discount: float = 0.99
     max_steps: int = 1000
+
+    def __post_init__(self) -> None:
+        # NaN fails the comparison too; max_steps is checked where an
+        # environment is built
+        for name in (
+            "qoe_weight", "time_penalty", "success_bonus", "violation_penalty", "discount"
+        ):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"reward {name} must be finite, got {getattr(self, name)}")
 
 
 def serving_order(qoe_values: list[float]) -> list[int]:
@@ -126,22 +129,9 @@ class SchedulingEnv:
 
     # ---------- lifecycle ----------
 
-    def reset(
-        self,
-        rng: np.random.Generator | None = None,
-        profiles: list[UeProfile] | None = None,
-    ) -> None:
-        """Start a new episode.
-
-        Scenario comes from ``profiles`` when given, else is sampled with
-        ``rng`` (default: the config's own scenario stream, i.e. a fixed
-        instance).
-        """
+    def reset(self, profiles: list[UeProfile]) -> None:
+        """Start a new episode on the trial whose users are ``profiles``."""
         cfg = self.config
-        if profiles is None:
-            if rng is None:
-                rng = stream_rng(cfg.rng_seed, STREAM_SCENARIO)
-            profiles = sample_scenario(cfg, rng)
         if len(profiles) != cfg.n_ues:
             raise ValueError(
                 f"scenario has {len(profiles)} users, config expects {cfg.n_ues}"

@@ -271,32 +271,25 @@ class Occupancy:
 
     The caller picks the non-zero code each placement paints; the
     environment encodes owner and tier (see ``env.expand_cells``).
-    First fit and the free count read a bitmask of the free cells, built
-    from the codes once; paint only through ``mark``, which clears the
-    shape's bits in it.
+    First fit and the free count read ``free``, a bitmask of the free
+    cells with bit t*F + f set when cell (f, t) is free; paint only through
+    ``mark``, which clears the shape's bits in it.
     """
 
     def __init__(self, dims: GridDims):
         self.dims = dims
         self.code = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=np.uint8)
-        self._free: int | None = None
+        self.free = (1 << dims.total_units) - 1
 
     def copy(self) -> "Occupancy":
         clone = Occupancy.__new__(Occupancy)
         clone.dims = self.dims
         clone.code = self.code.copy()
-        clone._free = self._free  # an int, never changed in place: shared
+        clone.free = self.free  # an int, never changed in place: shared
         return clone
 
-    def _free_bits(self) -> int:
-        """The free cells, bit t*F + f set when cell (f, t) is free."""
-        if self._free is None:
-            bits = np.packbits(self.code.T == 0, bitorder="little")
-            self._free = int.from_bytes(bits.tobytes(), "little")
-        return self._free
-
     def free_units(self) -> int:
-        return self._free_bits().bit_count()
+        return self.free.bit_count()
 
     def find_first_fit(self, shape: BwpShape) -> tuple[int, int] | None:
         """First position fitting ``shape``: minimum time offset, then
@@ -308,7 +301,7 @@ class Occupancy:
         # bit order is time order, then frequency order, so the lowest bit
         # left set below is the first fit.  ANDing with a copy shifted right
         # by k keeps bit i only where cell i + k is free as well.
-        fits = self._free_bits()
+        fits = self.free
         freq_shifts, starts, time_shifts = plan
         for k in freq_shifts:
             fits &= fits >> k
@@ -335,11 +328,11 @@ class Occupancy:
                 f"{width}x{length} shape leaves the {n_freq}x{n_time} grid"
             )
         cells = _cells(n_freq, time_offset, freq_offset, width, length)
-        free = self._free_bits()
+        free = self.free
         if free & cells != cells:
             raise ValueError(
                 f"placement at (t={time_offset}, f={freq_offset}) overlaps an "
                 f"existing allocation"
             )
         self.code[freq_offset : freq_offset + width, time_offset : time_offset + length] = code
-        self._free = free ^ cells
+        self.free = free ^ cells

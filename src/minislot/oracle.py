@@ -29,13 +29,12 @@ class SearchSizeError(RuntimeError):
     """The instance is too large for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class OracleCaps:
-    max_ues: int = 3
-    max_grid_cells: int = 256
-    max_actions: int = 8
-    max_bwps_per_ue_tier: int = 4
-    node_budget: int = 500_000
+# the largest instance exhaustive search accepts, and its node budget
+MAX_UES = 3
+MAX_GRID_CELLS = 256
+MAX_ACTIONS = 8
+MAX_BWPS_PER_UE_TIER = 4
+NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -47,19 +46,19 @@ class OracleResult:
     nodes: int
 
 
-def _check_size(config: ScenarioConfig, n_actions: int, caps: OracleCaps) -> None:
+def _check_size(config: ScenarioConfig, n_actions: int) -> None:
     dims = config.dims()
     cells = dims.total_units
-    if config.n_ues > caps.max_ues:
-        raise SearchSizeError(f"{config.n_ues} users exceeds oracle cap {caps.max_ues}")
-    if cells > caps.max_grid_cells:
-        raise SearchSizeError(f"{cells} grid cells exceeds oracle cap {caps.max_grid_cells}")
-    if n_actions > caps.max_actions:
-        raise SearchSizeError(f"{n_actions} actions exceeds oracle cap {caps.max_actions}")
-    if config.max_bwps_per_ue_tier is None or config.max_bwps_per_ue_tier > caps.max_bwps_per_ue_tier:
+    if config.n_ues > MAX_UES:
+        raise SearchSizeError(f"{config.n_ues} users exceeds oracle cap {MAX_UES}")
+    if cells > MAX_GRID_CELLS:
+        raise SearchSizeError(f"{cells} grid cells exceeds oracle cap {MAX_GRID_CELLS}")
+    if n_actions > MAX_ACTIONS:
+        raise SearchSizeError(f"{n_actions} actions exceeds oracle cap {MAX_ACTIONS}")
+    if config.max_bwps_per_ue_tier is None or config.max_bwps_per_ue_tier > MAX_BWPS_PER_UE_TIER:
         raise SearchSizeError(
             f"per-tier budget {config.max_bwps_per_ue_tier!r} exceeds oracle cap"
-            f" {caps.max_bwps_per_ue_tier} (unbounded search)"
+            f" {MAX_BWPS_PER_UE_TIER} (unbounded search)"
         )
 
 
@@ -95,7 +94,7 @@ def child_keys(env: SchedulingEnv, actions: list[int]) -> list[bytes]:
     grid = env.occupancy
     n_freq, n_time = grid.code.shape
     n_bytes = (n_freq * n_time + 7) // 8
-    free = grid._free_bits()
+    free = grid.free
     queue = env._bt_queue
     ints = [*env.bt_count, *env.et_count, et, ue, len(queue), *queue, *env._et_rotation]
     slot = ue + et * len(env.bt_count)  # the acting user's entry in its tier
@@ -124,8 +123,7 @@ def child_keys(env: SchedulingEnv, actions: list[int]) -> list[bytes]:
 
 
 class _Search:
-    def __init__(self, env: SchedulingEnv, caps: OracleCaps):
-        self.caps = caps
+    def __init__(self, env: SchedulingEnv):
         self.nodes = 0
         self.seen: set[bytes] = set()
         self.best_qoe = -1.0
@@ -158,10 +156,8 @@ class _Search:
         mask = env.feasible_actions()
         actions = [a for a in self.action_order if mask[a]]
         self.nodes += len(actions)
-        if self.nodes > self.caps.node_budget:
-            raise SearchSizeError(
-                f"search exceeded node budget {self.caps.node_budget}"
-            )
+        if self.nodes > NODE_BUDGET:
+            raise SearchSizeError(f"search exceeded node budget {NODE_BUDGET}")
         seen = self.seen
         fresh = []
         for action, key in zip(actions, child_keys(env, actions)):
@@ -175,11 +171,7 @@ class _Search:
             self.run(child, prefix + (action,))
 
 
-def oracle_best_plan(
-    config: ScenarioConfig,
-    profiles: tuple[UeProfile, ...],
-    caps: OracleCaps | None = None,
-) -> OracleResult:
+def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) -> OracleResult:
     """Best total QoE reachable through the environment protocol.
 
     A child whose key was seen before, leaf or not, is neither made nor
@@ -190,11 +182,10 @@ def oracle_best_plan(
     child's subtree holds the same leaf values as its first copy, which
     came earlier in that order and reached them.
     """
-    caps = caps or OracleCaps()
     env = SchedulingEnv(config)
-    _check_size(config, env.n_actions, caps)
-    env.reset(profiles=profiles)
-    search = _Search(env, caps)
+    _check_size(config, env.n_actions)
+    env.reset(profiles)
+    search = _Search(env)
     search.run(env.clone(), ())
     return OracleResult(
         plan=search.best_env.plan(),

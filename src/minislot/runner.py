@@ -16,7 +16,7 @@ from .agent import TrainResult, greedy_rollout, load_checkpoint, save_checkpoint
 from .baselines import AllocationPlan, equal_bandwidth_plan, equal_time_frequency_plan
 from .config import ExperimentConfig, to_dict
 from .env import SchedulingEnv
-from .oracle import OracleCaps, oracle_best_plan
+from .oracle import oracle_best_plan
 from .outputs import write_eval_csv, write_manifest, write_training_csv
 from .scenario import scenario_for_trial
 
@@ -78,9 +78,9 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
 
 
 def _oracle_trial(args) -> dict:
-    config, trial, caps = args
+    config, trial = args
     profiles = scenario_for_trial(config.scenario, trial)
-    result = oracle_best_plan(config.scenario, profiles, caps)
+    result = oracle_best_plan(config.scenario, profiles)
     return _plan_row(trial, ORACLE, result.plan)
 
 
@@ -89,19 +89,18 @@ def run_eval(
     out_dir: str,
     methods=(EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, DQN),
     checkpoint: str | None = None,
-    n_trials: int | None = None,
-    oracle_caps: OracleCaps | None = None,
     jobs: int = 1,
     command: str = "eval",
     filename: str = "eval.csv",
 ) -> list[dict]:
-    """Evaluate the requested methods on a shared set of sampled trials."""
+    """Evaluate the requested methods on the config's ``n_eval_trials``
+    sampled trials, shared by every method."""
     if not methods:
         raise ValueError("no methods to evaluate")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    n_trials = config.n_eval_trials if n_trials is None else n_trials
+    n_trials = config.n_eval_trials
     if n_trials < 1:
         raise ValueError(f"evaluation needs at least 1 trial, got {n_trials}")
     if jobs < 1:
@@ -127,7 +126,7 @@ def run_eval(
         for trial in range(n_trials):
             profiles = scenario_for_trial(config.scenario, trial)
             if DQN in methods:
-                plan = greedy_rollout(env, net, params, profiles=profiles)
+                plan = greedy_rollout(env, net, params, profiles)
                 rows.append(_plan_row(trial, DQN, plan))
             if EQUAL_BANDWIDTH in methods:
                 plan = equal_bandwidth_plan(config.scenario, profiles)
@@ -136,7 +135,7 @@ def run_eval(
                 plan = equal_time_frequency_plan(config.scenario, profiles)
                 rows.append(_plan_row(trial, EQUAL_TIME_FREQUENCY, plan))
     if ORACLE in methods:
-        tasks = [(config, trial, oracle_caps) for trial in range(n_trials)]
+        tasks = [(config, trial) for trial in range(n_trials)]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows.extend(pool.map(_oracle_trial, tasks))

@@ -18,8 +18,8 @@ from .grid import MAX_MINISLOT_SYMBOLS, GridSpec, derive_grid
 from .qoe import QoeParams
 from .radio import LinkParams, LinkState
 
-# spawn-key stream tags
-STREAM_SCENARIO = 0
+# spawn-key stream tags; a tag's number keys its stream's draws, so none
+# is renumbered (0 is unused)
 STREAM_EPISODE = 1
 STREAM_TRIAL = 2
 STREAM_WEIGHTS = 3
@@ -151,6 +151,17 @@ class ScenarioConfig:
                 f"need 1 <= min_distance_m <= cell_radius_m < inf, got "
                 f"[{self.min_distance_m}, {self.cell_radius_m}]"
             )
+        # NaN fails every comparison, so each check below refuses it
+        for name in ("qoe_a", "qoe_b", "peak_factor"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(-math.inf < q < math.inf for q in self.min_qoe):
+            raise ValueError(f"min_qoe levels must be finite, got {list(self.min_qoe)}")
+        for name in ("bt_coverage_deg2", "et_coverage_deg2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
 
     @property
     def frame_duration_s(self) -> float:

@@ -27,7 +27,7 @@ from minislot.outputs import moving_average
 from minislot.qoe import effective_rate, qoe_fn
 from minislot.radio import LinkParams, LinkState, bwp_rate_bits
 from minislot.runner import DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, run_eval, run_train
-from minislot.scenario import default_config, scenario_for_trial, tiny_config
+from minislot.scenario import default_config, sample_scenario, scenario_for_trial, tiny_config
 
 N_EVAL_TRIALS = 200
 
@@ -409,7 +409,7 @@ def test_criterion_10_constraint_soundness():
             env = envs[id(mid_config)]
         else:
             env = envs[id(tiny_variants[i % len(tiny_variants)])]
-        env.reset(rng=rng)
+        env.reset(sample_scenario(env.config, rng))
         while not env.done:
             mask = env.feasible_actions()
             env.step(int(rng.choice(np.flatnonzero(mask))))

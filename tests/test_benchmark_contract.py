@@ -77,7 +77,7 @@ def test_tracer_sees_every_grid_call(monkeypatch, tmp_path):
     spans = importlib.import_module("spans")
     methods = (EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, ORACLE)
     with spans.Tracer().installed() as tracer:
-        run_eval(tiny_experiment(), str(tmp_path), methods=methods, n_trials=1)
+        run_eval(tiny_experiment(n_eval_trials=1), str(tmp_path), methods=methods)
     for name in GRID_SPANS:
         assert tracer.durations(name).size > 0, name
 
@@ -102,7 +102,7 @@ def test_tracer_sees_every_runner_call(monkeypatch, tmp_path):
     from minislot.net import QNetwork, default_net_config
     from minislot.runner import ALL_METHODS, build_env, run_eval
 
-    config = tiny_experiment()
+    config = tiny_experiment(n_eval_trials=1)
     env = build_env(config)
     net = QNetwork(
         default_net_config(
@@ -115,8 +115,7 @@ def test_tracer_sees_every_runner_call(monkeypatch, tmp_path):
     spans = importlib.import_module("spans")
     with spans.Tracer().installed() as tracer:
         rows = run_eval(
-            config, str(tmp_path / "out"), methods=ALL_METHODS,
-            checkpoint=str(checkpoint), n_trials=1,
+            config, str(tmp_path / "out"), methods=ALL_METHODS, checkpoint=str(checkpoint)
         )
     assert sorted(r["method"] for r in rows) == sorted(ALL_METHODS)
     for name in RUNNER_SPANS:

@@ -393,6 +393,41 @@ def test_bad_checkpoint_metadata_fails_cleanly(edit, message, tmp_path, capsys):
             {"MINISLOT_REWARD__MAX_STEPS": "0"},
             "reward max_steps must be at least 1, got 0",
         ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__QOE_A": "NaN"},
+            "qoe_a must be finite, got nan",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__BT_COVERAGE_DEG2": "NaN"},
+            "bt_coverage_deg2 must be positive and finite, got nan",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__ET_COVERAGE_DEG2": "Infinity"},
+            "et_coverage_deg2 must be positive and finite, got inf",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__MIN_QOE": "[NaN,4.1]"},
+            "min_qoe levels must be finite, got [nan, 4.1]",
+        ),
+        (
+            ["baseline", "--tiny", "--trials", "1"],
+            {"MINISLOT_SCENARIO__PEAK_FACTOR": "NaN"},
+            "peak_factor must be finite, got nan",
+        ),
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_REWARD__QOE_WEIGHT": "NaN"},
+            "reward qoe_weight must be finite, got nan",
+        ),
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_REWARD__DISCOUNT": "Infinity"},
+            "reward discount must be finite, got inf",
+        ),
     ],
 )
 def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, monkeypatch, capsys):

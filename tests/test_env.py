@@ -18,7 +18,6 @@ from minislot.qoe import combined_qoe, effective_rate
 from minislot.scenario import (
     default_config,
     scenario_for_trial,
-    stream_rng,
     tiny_config,
 )
 
@@ -47,12 +46,10 @@ def test_action_set_is_numerology_by_minislot():
 
 def test_reset_is_deterministic_and_starts_in_base_tier():
     env = SchedulingEnv(default_config())
-    env.reset()
+    env.reset(scenario_for_trial(env.config, 0))
     order_one = list(env.order)
-    distances = [p.distance_m for p in env.profiles]
-    env.reset()
+    env.reset(scenario_for_trial(env.config, 0))
     assert list(env.order) == order_one
-    assert [p.distance_m for p in env.profiles] == distances
     assert env.phase == Tier.BT
     assert env.active_ue == order_one[0]
     assert env.feasible_actions().all()  # empty grid: everything fits
@@ -285,16 +282,6 @@ def test_clone_is_independent():
     assert vars(env).keys() == snapshot.keys()
     for name, value in snapshot.items():
         _assert_same(getattr(env, name), value, name)
-
-
-def test_fresh_scenarios_come_from_the_given_stream():
-    env = SchedulingEnv(tiny_config())
-    env.reset(rng=stream_rng(0, 9, 0))
-    d1 = [p.distance_m for p in env.profiles]
-    env.reset(rng=stream_rng(0, 9, 0))
-    assert [p.distance_m for p in env.profiles] == d1
-    env.reset(rng=stream_rng(0, 9, 1))
-    assert [p.distance_m for p in env.profiles] != d1
 
 
 def test_wrong_profile_count_rejected():

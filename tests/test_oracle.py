@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import pytest
 
+import minislot.oracle
 from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
 from minislot.grid import GridSpec
-from minislot.oracle import OracleCaps, SearchSizeError, oracle_best_plan
+from minislot.oracle import SearchSizeError, oracle_best_plan
 from minislot.runner import ORACLE, run_eval
 from minislot.scenario import default_config, scenario_for_trial, tiny_config
 
@@ -43,11 +44,11 @@ def served(result):
     return [r.served for r in result.plan.reports]
 
 
-def test_node_budget_is_enforced():
+def test_node_budget_is_enforced(monkeypatch):
     config = tiny_config()
-    caps = OracleCaps(node_budget=3)
-    with pytest.raises(SearchSizeError, match="node budget"):
-        oracle_best_plan(config, tuple(scenario_for_trial(config, 0)), caps)
+    monkeypatch.setattr(minislot.oracle, "NODE_BUDGET", 3)
+    with pytest.raises(SearchSizeError, match="node budget 3"):
+        oracle_best_plan(config, tuple(scenario_for_trial(config, 0)))
 
 
 def test_oracle_dominates_fixed_splits():

@@ -59,10 +59,10 @@ def test_key_fields_and_exclusions_cover_the_env_state():
 
 
 def _occupy_last_free_cell(env):
-    # the free-cell int is rebuilt from the codes
     grid = env.occupancy
-    grid.code.T.flat[np.flatnonzero(grid.code.T == 0)[-1]] = 1
-    grid._free = None
+    cell = int(np.flatnonzero(grid.code.T == 0)[-1])  # t*F + f: its free bit
+    grid.code.T.flat[cell] = 1
+    grid.free ^= 1 << cell
 
 
 def _other(env):
@@ -103,8 +103,7 @@ def test_key_ignores_owners_and_splits_the_queues():
     for env in live_states():
         recoloured = env.clone()
         code = recoloured.occupancy.code
-        code[code > 0] = 200
-        recoloured.occupancy._free = None  # rebuilt from the new codes
+        code[code > 0] = 200  # the same cells stay free
         assert keys(recoloured) == keys(env)
     a, b = env.clone(), env.clone()
     a._bt_queue, a._et_rotation = [0], []

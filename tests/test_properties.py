@@ -153,6 +153,7 @@ def test_first_fit_matches_brute_force(code, fw, tl):
     n_freq, n_time = code.shape
     occ = Occupancy(GridDims(n_time_units=n_time, n_freq_units=n_freq, rb_size_shz=1.0))
     occ.code[:] = code
+    occ.free = free_int_of(code)
     shape = BwpShape(mu=0, eta=1, time_len_units=tl, freq_width_units=fw)
     assert occ.find_first_fit(shape) == brute_force_first_fit(code, fw, tl)
     # answers are cached per grid state: each mark must drop them
@@ -181,9 +182,10 @@ def free_int_of(code: np.ndarray) -> int:
 def test_mark_keeps_the_free_int_and_refuses_bad_placements(size, marks):
     n_freq, n_time = size
     occ = Occupancy(GridDims(n_time_units=n_time, n_freq_units=n_freq, rb_size_shz=1.0))
+    assert occ.free == free_int_of(occ.code)  # every cell free from the start
     for i, (t, f, tl, fw) in enumerate(marks):
         shape = BwpShape(mu=0, eta=1, time_len_units=tl, freq_width_units=fw)
-        code, free = occ.code.copy(), occ._free_bits()
+        code, free = occ.code.copy(), occ.free
         on_grid = t >= 0 and f >= 0 and t + tl <= n_time and f + fw <= n_freq
         if on_grid and not code[f : f + fw, t : t + tl].any():
             occ.mark(t, f, shape, 1 + i)
@@ -192,8 +194,8 @@ def test_mark_keeps_the_free_int_and_refuses_bad_placements(size, marks):
             with pytest.raises(ValueError, match="overlaps" if on_grid else "leaves"):
                 occ.mark(t, f, shape, 1 + i)
             np.testing.assert_array_equal(occ.code, code)
-            assert occ._free == free
-        assert occ._free_bits() == free_int_of(occ.code)
+            assert occ.free == free
+        assert occ.free == free_int_of(occ.code)
         assert occ.free_units() == occ.code.size - np.count_nonzero(occ.code)
 
 

@@ -25,9 +25,10 @@ from minislot.scenario import scenario_for_trial
     "config, kwargs, message",
     [
         ({}, {"methods": ()}, "no methods"),
-        ({}, {"methods": (EQUAL_BANDWIDTH,), "n_trials": 0}, "at least 1 trial, got 0"),
-        ({}, {"methods": (EQUAL_BANDWIDTH,), "n_trials": -2}, "at least 1 trial, got -2"),
         ({"n_eval_trials": 0}, {"methods": (EQUAL_BANDWIDTH,)}, "at least 1 trial, got 0"),
+        ({"n_eval_trials": -2}, {"methods": (EQUAL_BANDWIDTH,)}, "at least 1 trial, got -2"),
+        # the trial count is refused before the missing checkpoint
+        ({"n_eval_trials": 0}, {"methods": (DQN,)}, "at least 1 trial, got 0"),
         ({}, {"methods": (ORACLE,), "jobs": 0}, "at least 1 worker, got 0"),
         ({}, {"methods": (EQUAL_BANDWIDTH,), "jobs": -1}, "at least 1 worker, got -1"),
     ],
@@ -40,7 +41,7 @@ def test_run_eval_refuses_empty_work(config, kwargs, message, tmp_path):
 
 
 def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
-    config = tiny_experiment()
+    config = tiny_experiment(n_eval_trials=3)
     env = build_env(config)
     net = QNetwork(
         default_net_config(
@@ -62,7 +63,6 @@ def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
         str(tmp_path / "out"),
         methods=(DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY),
         checkpoint=str(checkpoint),
-        n_trials=3,
     )
     assert drawn == [0, 1, 2]
 
