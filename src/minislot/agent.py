@@ -15,13 +15,13 @@ import json
 import tokenize
 import zipfile
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv, expand_cells
-from .net import Adam, ConvSpec, NetConfig, QNetwork, clip_global_norm, default_net_config
+from .net import GRID_CHANNELS, Adam, NetConfig, QNetwork, clip_global_norm, default_net_config
 from .scenario import (
     STREAM_ACTIONS,
     STREAM_EPISODE,
@@ -64,8 +64,8 @@ class TrainConfig:
                 f"{max(self.batch_size, self.train_start_size)} transitions "
                 "(max of batch_size and train_start_size), so no step would learn"
             )
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not self.grad_clip_norm > 0.0:
             raise ValueError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
@@ -274,7 +274,7 @@ def train(env: SchedulingEnv, cfg: TrainConfig, on_episode=None) -> TrainResult:
     # one minibatch's observation channels: the next states' for the TD
     # targets, then the states' for the gradient step
     grids = np.empty(
-        (cfg.batch_size, net.config.grid_channels, dims.n_freq_units, dims.n_time_units),
+        (cfg.batch_size, GRID_CHANNELS, dims.n_freq_units, dims.n_time_units),
         np.float32,
     )
 
@@ -352,13 +352,11 @@ def greedy_rollout(
 
 
 def save_checkpoint(path, net: QNetwork, params: dict[str, np.ndarray], extra: dict | None = None) -> None:
-    """Write parameters plus the architecture needed to rebuild the network."""
+    """Write parameters plus the network's geometry and the architecture
+    it gives."""
     meta = {
         "version": CHECKPOINT_VERSION,
-        "net_config": {
-            **asdict(net.config),
-            "conv": [asdict(c) for c in net.config.conv],
-        },
+        "net_config": net.config.architecture(),
         "extra": extra or {},
     }
     arrays = {f"param/{k}": v for k, v in params.items()}
@@ -403,13 +401,16 @@ def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
             )
         if params[name].dtype != np.float64:
             raise ValueError(f"checkpoint parameter {name} is {params[name].dtype}, not float64")
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint parameter {name} is not finite")
     return QNetwork(config), params, extra
 
 
 def _read_meta(path, raw: np.ndarray) -> tuple[NetConfig, dict[str, tuple[int, ...]], dict]:
-    """The architecture, its parameter shapes and the extra fields of a
+    """The geometry, its parameter shapes and the extra fields of a
     checkpoint's ``__meta__``; a ValueError naming ``path`` for anything
-    save_checkpoint would not have written."""
+    save_checkpoint would not have written, such as an architecture other
+    than the one the geometry gives."""
     try:
         meta = json.loads(bytes(raw).decode())
         if not isinstance(meta, dict):
@@ -417,12 +418,15 @@ def _read_meta(path, raw: np.ndarray) -> tuple[NetConfig, dict[str, tuple[int, .
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         net = dict(meta["net_config"])
-        net["conv"] = tuple(ConvSpec(**c) for c in net["conv"])
-        net["dense"] = tuple(net["dense"])
         extra = meta["extra"]
         if not isinstance(extra, dict):
             raise TypeError(f"extra is a JSON {type(extra).__name__}, not an object")
-        config = NetConfig(**net)
+        # every other field is the geometry the architecture is derived from
+        geometry = {k: v for k, v in net.items() if k not in ("grid_channels", "conv", "dense")}
+        config = NetConfig(**geometry)
+        derived = config.architecture()
+        if net != derived:
+            raise ValueError(f"stored architecture {net} differs from {derived}, its geometry's")
         return config, config.param_shapes(), extra
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(

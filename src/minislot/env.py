@@ -252,11 +252,8 @@ class SchedulingEnv:
         processed for both tiers, and None when the episode continues.
         """
         if self.phase == Tier.BT:
-            while self._bt_queue:
+            if self._bt_queue:  # its head is the next unserved user
                 ue = self._bt_queue[0]
-                if self.served[ue]:
-                    self._bt_queue.pop(0)
-                    continue
                 if self._bt_hopeless(ue):
                     return "violation"
                 mask, fits, placeable, feasible = self._mask_detail(ue, Tier.BT)

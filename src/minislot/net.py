@@ -1,81 +1,77 @@
 """Minimal feed-forward Q-network in plain numpy.
 
-Grid observation channels pass through a small stack of valid-padding
+Grid observation channels pass through up to two valid-padding
 convolutions, get flattened and concatenated with the auxiliary feature
-vector, then through dense layers to one Q-value per action.  Forward,
-backward, the Adam update and a finite-difference gradient check are all
-implemented here so training is self-contained and bitwise reproducible.
+vector, then through one hidden dense layer to one Q-value per action.
+The observation geometry fixes the architecture (``NetConfig``).
+Forward, backward, the Adam update and a finite-difference gradient check
+are all implemented here so training is self-contained and bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-
-@dataclass(frozen=True)
-class ConvSpec:
-    filters: int
-    kernel: int = 3
-    stride: int = 2
+GRID_CHANNELS = 3  # expand_cells: occupancy, owner, enhancement tier
+CONV_FILTERS = (8, 16)  # one 3x3 stride-2 conv each, while the map fits
+KERNEL = 3
+STRIDE = 2
+HIDDEN = 64  # units of the one dense layer
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture bound to one observation geometry."""
+    """One observation geometry; the architecture follows from it."""
 
-    grid_channels: int
     grid_height: int
     grid_width: int
     aux_dim: int
     n_actions: int
-    conv: tuple[ConvSpec, ...] = (ConvSpec(8), ConvSpec(16))
-    dense: tuple[int, ...] = (64,)
 
     def __post_init__(self) -> None:
         # a checkpoint's metadata builds configs, so check every size
-        if not (isinstance(self.conv, tuple) and all(type(c) is ConvSpec for c in self.conv)):
-            raise TypeError(f"conv must be a tuple of ConvSpec, got {self.conv!r}")
-        if not isinstance(self.dense, tuple):
-            raise TypeError(f"dense must be a tuple, got {self.dense!r}")
-        sizes = [self.grid_channels, self.grid_height, self.grid_width, self.aux_dim]
-        sizes += [self.n_actions, *self.dense]
-        sizes += [v for spec in self.conv for v in (spec.filters, spec.kernel, spec.stride)]
-        for v in sizes:
+        for v in (self.grid_height, self.grid_width, self.aux_dim, self.n_actions):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"network sizes must be positive ints, got {v!r} in {self}")
-        # a conv that skips input cells would let a small parameter set
-        # stand for an input, and so tap indices, of any size
-        for i, spec in enumerate(self.conv):
-            if spec.stride > spec.kernel:
-                raise ValueError(f"conv{i} stride {spec.stride} exceeds its kernel {spec.kernel}")
 
     def conv_dims(self) -> list[tuple[int, int]]:
-        """(height, width) of each conv layer's output."""
+        """(height, width) of each conv layer's output: one conv per
+        ``CONV_FILTERS`` entry, dropping those the map is too small for."""
         dims, h, w = [], self.grid_height, self.grid_width
-        for spec in self.conv:
-            h = _conv_out(h, spec.kernel, spec.stride)
-            w = _conv_out(w, spec.kernel, spec.stride)
+        for _ in CONV_FILTERS:
+            if h < KERNEL or w < KERNEL:
+                break
+            h, w = (h - KERNEL) // STRIDE + 1, (w - KERNEL) // STRIDE + 1
             dims.append((h, w))
         return dims
+
+    def architecture(self) -> dict:
+        """The layers, as a checkpoint's ``net_config`` records them."""
+        return {
+            "grid_channels": GRID_CHANNELS,
+            **asdict(self),
+            "conv": [
+                {"filters": f, "kernel": KERNEL, "stride": STRIDE}
+                for f, _ in zip(CONV_FILTERS, self.conv_dims())
+            ],
+            "dense": [HIDDEN],
+        }
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each parameter's shape, worked out without building the network."""
         shapes: dict[str, tuple[int, ...]] = {}
-        in_ch = self.grid_channels
-        for i, spec in enumerate(self.conv):
-            shapes[f"conv{i}/W"] = (in_ch * spec.kernel * spec.kernel, spec.filters)
-            shapes[f"conv{i}/b"] = (spec.filters,)
-            in_ch = spec.filters
-        h, w = (self.conv_dims() or [(self.grid_height, self.grid_width)])[-1]
-        width = in_ch * h * w + self.aux_dim
-        for i, units in enumerate(self.dense):
-            shapes[f"dense{i}/W"] = (width, units)
-            shapes[f"dense{i}/b"] = (units,)
-            width = units
-        shapes["out/W"] = (width, self.n_actions)
+        in_ch, (h, w) = GRID_CHANNELS, (self.grid_height, self.grid_width)
+        for i, (filters, dims) in enumerate(zip(CONV_FILTERS, self.conv_dims())):
+            shapes[f"conv{i}/W"] = (in_ch * KERNEL * KERNEL, filters)
+            shapes[f"conv{i}/b"] = (filters,)
+            in_ch, (h, w) = filters, dims
+        shapes["dense0/W"] = (in_ch * h * w + self.aux_dim, HIDDEN)
+        shapes["dense0/b"] = (HIDDEN,)
+        shapes["out/W"] = (HIDDEN, self.n_actions)
         shapes["out/b"] = (self.n_actions,)
         return shapes
 
@@ -83,32 +79,8 @@ class NetConfig:
 def default_net_config(
     grid_height: int, grid_width: int, aux_dim: int, n_actions: int
 ) -> NetConfig:
-    """Default architecture, dropping conv layers the grid is too small for."""
-    conv: list[ConvSpec] = []
-    h, w = grid_height, grid_width
-    for spec in (ConvSpec(8), ConvSpec(16)):
-        if h < spec.kernel or w < spec.kernel:
-            break
-        conv.append(spec)
-        h = (h - spec.kernel) // spec.stride + 1
-        w = (w - spec.kernel) // spec.stride + 1
-    return NetConfig(
-        grid_channels=3,
-        grid_height=grid_height,
-        grid_width=grid_width,
-        aux_dim=aux_dim,
-        n_actions=n_actions,
-        conv=tuple(conv),
-    )
-
-
-def _conv_out(size: int, kernel: int, stride: int) -> int:
-    out = (size - kernel) // stride + 1
-    if out < 1:
-        raise ValueError(
-            f"conv kernel {kernel} does not fit input extent {size}"
-        )
-    return out
+    """The network for one observation geometry."""
+    return NetConfig(grid_height, grid_width, aux_dim, n_actions)
 
 
 class _Workspace:
@@ -116,44 +88,39 @@ class _Workspace:
 
     Batch-shaped arrays have ``rows`` leading rows and a pass of ``b`` samples
     uses the first ``b``; conv arrays keep the (position, filter) layout the
-    conv matmul writes.  ``grads`` is in backward order, ``out`` and then
-    the dense and conv layers last to first: ``clip_global_norm`` sums the
+    conv matmul writes.  ``grads`` is in backward order, ``out``, ``dense0``
+    and then the conv layers last to first: ``clip_global_norm`` sums the
     squared norms in dict order, so the order is part of the result.
     """
 
     def __init__(self, net: QNetwork, rows: int):
         cfg = net.config
+        n_conv = len(net.layer_dims)
         self.rows = rows
         self.patches, self.pre, self.act, self.mask = [], [], [], []
         self.dz, self.dpatches, self.dx = [], [], []
-        in_ch, (h, w) = cfg.grid_channels, (cfg.grid_height, cfg.grid_width)
-        self.grid = np.empty((rows, in_ch, h, w)) if cfg.conv else None
-        for i, spec in enumerate(cfg.conv):
-            ho, wo = net.layer_dims[i]
-            taps = in_ch * spec.kernel * spec.kernel
-            last = i + 1 == len(cfg.conv)
+        in_ch, (h, w) = GRID_CHANNELS, (cfg.grid_height, cfg.grid_width)
+        self.grid = np.empty((rows, in_ch, h, w)) if n_conv else None
+        for i, (filters, (ho, wo)) in enumerate(zip(net.filters, net.layer_dims)):
+            taps = in_ch * KERNEL * KERNEL
             self.patches.append(np.empty((rows, ho * wo, taps)))
-            self.pre.append(np.empty((rows, ho * wo, spec.filters)))
+            self.pre.append(np.empty((rows, ho * wo, filters)))
             # the last conv's rectifier writes straight into concat
-            self.act.append(None if last else np.empty((rows, ho * wo, spec.filters)))
-            self.mask.append(np.empty((rows, ho * wo, spec.filters), bool))
-            self.dz.append(np.empty((rows, ho * wo, spec.filters)))
+            self.act.append(None if i + 1 == n_conv else np.empty((rows, ho * wo, filters)))
+            self.mask.append(np.empty((rows, ho * wo, filters), bool))
+            self.dz.append(np.empty((rows, ho * wo, filters)))
             self.dpatches.append(np.empty((rows * ho * wo, taps)) if i else None)
             self.dx.append(np.empty((rows, in_ch, h, w)) if i else None)
-            in_ch, (h, w) = spec.filters, (ho, wo)
-        # dense layer j's input is dense{j-1}'s output, or concat for j == 0;
-        # index len(dense) stands for the output layer
-        widths = (net.dense_in, *cfg.dense)
+            in_ch, (h, w) = filters, (ho, wo)
         self.concat = np.empty((rows, net.dense_in))
-        self.dense_pre = [np.empty((rows, u)) for u in cfg.dense]
-        self.dense_act = [np.empty((rows, u)) for u in cfg.dense]
-        self.dense_mask = [np.empty((rows, u), bool) for u in cfg.dense]
-        self.dh = [np.empty((rows, width)) for width in widths]
+        self.dense_pre = np.empty((rows, HIDDEN))
+        self.dense_act = np.empty((rows, HIDDEN))
+        self.dense_mask = np.empty((rows, HIDDEN), bool)
+        self.dconcat = np.empty((rows, net.dense_in))
+        self.ddense = np.empty((rows, HIDDEN))
         self.dq = np.empty((rows, cfg.n_actions))
         shapes = net.param_shapes()
-        order = ["out"]
-        order += [f"dense{i}" for i in reversed(range(len(cfg.dense)))]
-        order += [f"conv{i}" for i in reversed(range(len(cfg.conv)))]
+        order = ["out", "dense0", *(f"conv{i}" for i in reversed(range(n_conv)))]
         self.grads = {
             f"{layer}/{p}": np.empty(shapes[f"{layer}/{p}"])
             for layer in order
@@ -174,8 +141,9 @@ class QNetwork:
     def __init__(self, config: NetConfig):
         self.config = config
         self.layer_dims = config.conv_dims()  # (h, w) after each conv
+        self.filters = CONV_FILTERS[: len(self.layer_dims)]
         h, w = (self.layer_dims or [(config.grid_height, config.grid_width)])[-1]
-        channels = config.conv[-1].filters if config.conv else config.grid_channels
+        channels = self.filters[-1] if self.filters else GRID_CHANNELS
         self.flat_dim = channels * h * w
         self.dense_in = self.flat_dim + config.aux_dim
         self._ws: _Workspace | None = None
@@ -183,17 +151,17 @@ class QNetwork:
         # input as stored: conv0's (C, H, W) grid copy, a later conv's
         # (Ho, Wo, F) rectifier output
         self._taps: list[np.ndarray] = []
-        in_ch, h, w = config.grid_channels, config.grid_height, config.grid_width
-        for i, spec in enumerate(config.conv):
+        in_ch, h, w = GRID_CHANNELS, config.grid_height, config.grid_width
+        for i, (filters, dims) in enumerate(zip(self.filters, self.layer_dims)):
             pos = np.arange(in_ch * h * w)
             if i == 0:
                 pos = pos.reshape(in_ch, h, w)
             else:
                 pos = pos.reshape(h, w, in_ch).transpose(2, 0, 1)
-            k, s = spec.kernel, spec.stride
-            windows = sliding_window_view(pos, (k, k), axis=(1, 2))[:, ::s, ::s]
+            windows = sliding_window_view(pos, (KERNEL, KERNEL), axis=(1, 2))
+            windows = windows[:, ::STRIDE, ::STRIDE]
             self._taps.append(windows.transpose(1, 2, 0, 3, 4).reshape(-1))
-            in_ch, (h, w) = spec.filters, self.layer_dims[i]
+            in_ch, (h, w) = filters, dims
 
     def _workspace(self, batch: int) -> _Workspace:
         if self._ws is None or self._ws.rows < batch:
@@ -241,13 +209,13 @@ class QNetwork:
         ws = self._workspace(batch)
         h = ws.concat[:batch]
         flat = h[:, : self.flat_dim]
-        if self.config.conv:
+        if self.filters:
             x = ws.grid[:batch]
             np.copyto(x, grid)
             x = x.reshape(batch, -1)
         else:
             np.copyto(flat.reshape(grid.shape), grid)
-        for i, spec in enumerate(self.config.conv):
+        for i, filters in enumerate(self.filters):
             # per-sample input -> patches (B, Ho*Wo, C*k*k) -> matmul; the
             # taps are in range by construction, so "clip" never clips
             patches = ws.patches[i][:batch]
@@ -261,15 +229,14 @@ class QNetwork:
                 x = x.reshape(batch, -1)
             else:
                 ho, wo = self.layer_dims[i]
-                z_maps = z.reshape(batch, ho, wo, spec.filters).transpose(0, 3, 1, 2)
-                np.maximum(z_maps, 0.0, out=flat.reshape(batch, spec.filters, ho, wo))
+                z_maps = z.reshape(batch, ho, wo, filters).transpose(0, 3, 1, 2)
+                np.maximum(z_maps, 0.0, out=flat.reshape(batch, filters, ho, wo))
         np.copyto(h[:, self.flat_dim :], aux)
-        for i in range(len(self.config.dense)):
-            z = ws.dense_pre[i][:batch]
-            np.matmul(h, params[f"dense{i}/W"], out=z)
-            z += params[f"dense{i}/b"]
-            h = ws.dense_act[i][:batch]
-            np.maximum(z, 0.0, out=h)
+        z = ws.dense_pre[:batch]
+        np.matmul(h, params["dense0/W"], out=z)
+        z += params["dense0/b"]
+        h = ws.dense_act[:batch]
+        np.maximum(z, 0.0, out=h)
         q = h @ params["out/W"]
         q += params["out/b"]
         if keep_cache:
@@ -292,31 +259,26 @@ class QNetwork:
         ws = self._ws
         batch = cache["batch"]
         grads = ws.grads
-        n_dense = len(self.config.dense)
 
-        h_last = ws.dense_act[-1][:batch] if n_dense else ws.concat[:batch]
-        np.matmul(h_last.T, dq, out=grads["out/W"])
+        np.matmul(ws.dense_act[:batch].T, dq, out=grads["out/W"])
         np.sum(dq, axis=0, out=grads["out/b"])
-        dh = ws.dh[n_dense][:batch]
+        dh = ws.ddense[:batch]
         np.matmul(dq, params["out/W"].T, out=dh)
 
-        for i in range(n_dense - 1, -1, -1):
-            mask = ws.dense_mask[i][:batch]
-            np.greater(ws.dense_pre[i][:batch], 0.0, out=mask)
-            dz = np.multiply(dh, mask, out=dh)
-            h_in = ws.dense_act[i - 1][:batch] if i > 0 else ws.concat[:batch]
-            np.matmul(h_in.T, dz, out=grads[f"dense{i}/W"])
-            np.sum(dz, axis=0, out=grads[f"dense{i}/b"])
-            dh = ws.dh[i][:batch]
-            np.matmul(dz, params[f"dense{i}/W"].T, out=dh)
+        mask = ws.dense_mask[:batch]
+        np.greater(ws.dense_pre[:batch], 0.0, out=mask)
+        dz = np.multiply(dh, mask, out=dh)
+        np.matmul(ws.concat[:batch].T, dz, out=grads["dense0/W"])
+        np.sum(dz, axis=0, out=grads["dense0/b"])
+        dh = ws.dconcat[:batch]
+        np.matmul(dz, params["dense0/W"].T, out=dh)
 
-        if not self.config.conv:
+        if not self.filters:
             return dict(grads)
-        ch = self.config.conv[-1].filters
         h_out, w_out = self.layer_dims[-1]
-        dx = dh[:, : self.flat_dim].reshape(batch, ch, h_out, w_out)
-        for i in range(len(self.config.conv) - 1, -1, -1):
-            spec = self.config.conv[i]
+        dx = dh[:, : self.flat_dim].reshape(batch, self.filters[-1], h_out, w_out)
+        for i in range(len(self.filters) - 1, -1, -1):
+            filters = self.filters[i]
             ho, wo = self.layer_dims[i]
             # dz_flat is (B*Ho*Wo, F), row-major except for one sample,
             # which is filter-major.  The bias sum's order follows the
@@ -324,15 +286,15 @@ class QNetwork:
             # are the layouts every trained result so far was made with
             dz = ws.dz[i][:batch]
             if batch == 1:
-                dz_flat = dz.reshape(spec.filters, ho * wo).T
+                dz_flat = dz.reshape(filters, ho * wo).T
             else:
-                dz_flat = dz.reshape(-1, spec.filters)
+                dz_flat = dz.reshape(-1, filters)
             mask = ws.mask[i][:batch]
             np.greater(ws.pre[i][:batch], 0.0, out=mask)
             np.multiply(
                 dx.transpose(0, 2, 3, 1),
-                mask.reshape(batch, ho, wo, spec.filters),
-                out=dz_flat.reshape(batch, ho, wo, spec.filters),
+                mask.reshape(batch, ho, wo, filters),
+                out=dz_flat.reshape(batch, ho, wo, filters),
             )
             patches = ws.patches[i][:batch].reshape(-1, ws.patches[i].shape[-1])
             np.matmul(patches.T, dz_flat, out=grads[f"conv{i}/W"])
@@ -345,11 +307,10 @@ class QNetwork:
 
     def _col2im(self, dpatches: np.ndarray, layer: int) -> np.ndarray:
         """Scatter patch gradients back to the input map of conv ``layer``."""
-        spec = self.config.conv[layer]
-        in_ch = self.config.conv[layer - 1].filters
+        in_ch = self.filters[layer - 1]
         h_out, w_out = self.layer_dims[layer]
         batch = dpatches.shape[0] // (h_out * w_out)
-        k, s = spec.kernel, spec.stride
+        k, s = KERNEL, STRIDE
         dcols = dpatches.reshape(batch, h_out, w_out, in_ch, k, k)
         dx = self._ws.dx[layer][:batch]
         dx.fill(0.0)
@@ -389,23 +350,23 @@ class QNetwork:
 # ---------- optimiser ----------
 
 
-@dataclass
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with the standard bias correction, updating in place."""
 
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    _scratch: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, learning_rate: float = 1e-3):
+        self.learning_rate = learning_rate
+        self.t = 0  # updates so far
+        self.m: dict[str, np.ndarray] = {}  # first moments
+        self.v: dict[str, np.ndarray] = {}  # second moments
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        c1 = 1 - self.beta1**self.t
-        c2 = 1 - self.beta2**self.t
+        c1 = 1 - BETA1**self.t
+        c2 = 1 - BETA2**self.t
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
@@ -414,19 +375,19 @@ class Adam:
             m, v = self.m[name], self.v[name]
             step, tmp = self._scratch[name]
             # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-            m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=tmp)
+            m *= BETA1
+            np.multiply(g, 1 - BETA1, out=tmp)
             m += tmp
-            v *= self.beta2
+            v *= BETA2
             np.square(g, out=tmp)
-            tmp *= 1 - self.beta2
+            tmp *= 1 - BETA2
             v += tmp
             # params -= lr * m_hat / (sqrt(v_hat) + eps)
             np.divide(m, c1, out=step)
             step *= self.learning_rate
             np.divide(v, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += EPS
             step /= tmp
             params[name] -= step
 
@@ -461,8 +422,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def _relu_signs(net: QNetwork, params, grid, aux) -> np.ndarray:
     _, cache = net.forward(params, grid, aux, keep_cache=True)
-    pre = [z[: cache["batch"]] for z in net._ws.pre + net._ws.dense_pre]
-    return np.concatenate([(z > 0).ravel() for z in pre]) if pre else np.zeros(0, bool)
+    pre = [z[: cache["batch"]] for z in [*net._ws.pre, net._ws.dense_pre]]
+    return np.concatenate([(z > 0).ravel() for z in pre])
 
 
 def gradient_check(
@@ -513,7 +474,7 @@ def gradient_check(
         signs_minus = _relu_signs(net, params, grid, aux)
         params[name][index] = original
 
-        if signs_plus.size and (signs_plus != signs_minus).any():
+        if (signs_plus != signs_minus).any():
             continue  # kink crossed: finite difference is meaningless here
         batch = q_plus.shape[0]
         rows = np.arange(batch)

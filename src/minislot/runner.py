@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__
 from .agent import TrainResult, greedy_rollout, load_checkpoint, save_checkpoint, train
 from .baselines import AllocationPlan, equal_bandwidth_plan, equal_time_frequency_plan
@@ -47,9 +49,13 @@ def run_train(
     command: str = "train",
     on_episode=None,
 ) -> tuple[TrainResult, str]:
-    """Train one policy; write training.csv, checkpoint.npz, manifest.json."""
+    """Train one policy; write training.csv, checkpoint.npz, manifest.json,
+    or nothing when a trained parameter is not finite."""
     env = build_env(config)
     result = train(env, config.train, on_episode=on_episode)
+    if not all(np.isfinite(value).all() for value in result.params.values()):
+        rate = config.train.learning_rate
+        raise ValueError(f"training diverged to non-finite parameters at learning_rate {rate}")
     os.makedirs(out_dir, exist_ok=True)
     write_training_csv(os.path.join(out_dir, "training.csv"), result.metrics)
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")

@@ -21,7 +21,7 @@ from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier, bwp_shape, derive_grid, validate_allocation_set
-from minislot.net import QNetwork, default_net_config, gradient_check
+from minislot.net import GRID_CHANNELS, QNetwork, default_net_config, gradient_check
 from minislot.oracle import oracle_best_plan
 from minislot.outputs import moving_average
 from minislot.qoe import effective_rate, qoe_fn
@@ -172,7 +172,7 @@ def test_criterion_04_gradient_check():
     net = QNetwork(config)
     rng = np.random.default_rng(17)
     params = net.init_params(rng)
-    grid = rng.random((8, config.grid_channels, 24, 56))
+    grid = rng.random((8, GRID_CHANNELS, 24, 56))
     aux = rng.random((8, config.aux_dim))
     actions = rng.integers(0, config.n_actions, size=8)
     targets = rng.normal(size=8)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from minislot.agent import (
     train,
 )
 from minislot.env import SchedulingEnv, expand_cells
-from minislot.net import NetConfig, QNetwork, default_net_config
+from minislot.net import QNetwork, default_net_config
 from minislot.scenario import scenario_for_trial, tiny_config
+
+CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "checkpoints" / "default-60ep-seed0.npz"
 
 FAST = TrainConfig(
     episodes=24,
@@ -52,6 +56,7 @@ def test_train_config_validation():
         (dict(replay_capacity=16, batch_size=32, train_start_size=0), "replay_capacity"),
         (dict(learning_rate=0.0), "learning_rate"),
         (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
         (dict(grad_clip_norm=-1.0), "grad_clip_norm"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -130,15 +135,7 @@ def greedy_fixture():
     env = tiny_env()
     env.reset(profiles=scenario_for_trial(env.config, 0))
     net = QNetwork(
-        NetConfig(
-            grid_channels=3,
-            grid_height=env.dims.n_freq_units,
-            grid_width=env.dims.n_time_units,
-            aux_dim=env.aux_dim,
-            n_actions=env.n_actions,
-            conv=(),
-            dense=(8,),
-        )
+        default_net_config(env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions)
     )
     params = net.init_params(np.random.default_rng(3))
     return env, net, params
@@ -247,6 +244,37 @@ def test_checkpoint_roundtrip(tmp_path):
     assert before == after
 
 
+def _meta(geometry: str) -> str:
+    return (
+        '{"version": 1, "net_config": {"grid_channels": 3, ' + geometry + ', "conv": '
+        '[{"filters": 8, "kernel": 3, "stride": 2}, {"filters": 16, "kernel": 3, "stride": 2}], '
+        '"dense": [64]}, "extra": {"train_seed": 0, "scenario_seed": 0, "episodes": 60}}'
+    )
+
+
+DEFAULT_META = _meta('"grid_height": 24, "grid_width": 56, "aux_dim": 22, "n_actions": 9')
+TINY_META = _meta('"grid_height": 8, "grid_width": 16, "aux_dim": 12, "n_actions": 4')
+
+
+@pytest.mark.parametrize(
+    "geometry, literal",
+    [((24, 56, 22, 9), DEFAULT_META), ((8, 16, 12, 4), TINY_META)],
+    ids=["default", "tiny"],
+)
+def test_checkpoint_metadata_keeps_its_format(geometry, literal, tmp_path):
+    """``__meta__`` holds the geometry and the architecture it gives, in the
+    JSON every checkpoint so far was written with."""
+    net = QNetwork(default_net_config(*geometry))
+    path = tmp_path / "policy.npz"
+    extra = {"train_seed": 0, "scenario_seed": 0, "episodes": 60}
+    save_checkpoint(path, net, net.init_params(np.random.default_rng(0)), extra=extra)
+    with np.load(path) as archive:
+        assert bytes(archive["__meta__"]).decode() == literal
+    if geometry == (24, 56, 22, 9):
+        with np.load(CHECKPOINT) as archive:  # the benchmark's fixed policy
+            assert bytes(archive["__meta__"]).decode() == literal
+
+
 def test_load_rejects_foreign_npz(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.arange(3))
@@ -280,4 +308,19 @@ def test_load_rejects_wrong_parameter_shape(tmp_path):
     path = tmp_path / "policy.npz"
     save_checkpoint(path, net, params)
     with pytest.raises(ValueError, match=r"out/b has shape \(99,\)"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_non_finite_parameters(tmp_path):
+    # a NaN Q-value wins every argmax, so such a policy would play the
+    # first feasible action and still exit 0
+    env = tiny_env()
+    net = QNetwork(
+        default_net_config(env.dims.n_freq_units, env.dims.n_time_units, env.aux_dim, env.n_actions)
+    )
+    params = net.init_params(np.random.default_rng(0))
+    params["out/b"][1] = np.nan
+    path = tmp_path / "policy.npz"
+    save_checkpoint(path, net, params)
+    with pytest.raises(ValueError, match="out/b is not finite"):
         load_checkpoint(path)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -304,11 +305,12 @@ def _set_leaf(keys, value=_DROP):
         (_set_leaf(["net_config"]), "KeyError: 'net_config'"),
         (_set_leaf(["net_config", "depth"], 3), "unexpected keyword argument 'depth'"),
         (_set_leaf(["net_config", "aux_dim"]), "missing 1 required positional argument: 'aux_dim'"),
-        (_set_leaf(["net_config", "conv", 0, "pad"], 1), "unexpected keyword argument 'pad'"),
-        (_set_leaf(["net_config", "conv", 1, "filters"]), "missing 1 required positional argument: 'filters'"),
-        (_set_leaf(["net_config", "conv"], 8), "TypeError: 'int' object is not iterable"),
+        # the architecture is derived from the geometry, so any other is refused
+        (_set_leaf(["net_config", "conv", 0, "pad"], 1), "'pad': 1"),
+        (_set_leaf(["net_config", "conv", 1, "filters"]), "{'kernel': 3, 'stride': 2}]"),
+        (_set_leaf(["net_config", "conv"], 8), "'conv': 8,"),
         (_set_leaf(["net_config", "grid_height"], -24), "positive ints, got -24"),
-        (_set_leaf(["net_config", "conv", 0, "stride"], 4), "conv0 stride 4 exceeds its kernel 3"),
+        (_set_leaf(["net_config", "conv", 0, "stride"], 4), "'stride': 4}"),
         (_set_leaf(["version"], 99), "unsupported checkpoint version 99"),
     ],
 )
@@ -322,6 +324,44 @@ def test_bad_checkpoint_metadata_fails_cleanly(edit, message, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"bad metadata in checkpoint {str(path)!r}" in err
     assert message in err
+    assert not out.exists()
+
+
+def test_checkpoint_of_another_architecture_is_refused(tmp_path, capsys):
+    """Stored architecture and arrays agree with each other (conv filters 4
+    and 8), but not with the 8 and 16 filters the geometry gives."""
+    with np.load(CHECKPOINT) as archive:
+        meta = json.loads(bytes(archive["__meta__"]).decode())
+    for conv, filters in zip(meta["net_config"]["conv"], (4, 8)):
+        conv["filters"] = filters
+    shapes = {
+        "conv0/W": (3 * 9, 4), "conv0/b": (4,), "conv1/W": (4 * 9, 8), "conv1/b": (8,),
+        "dense0/W": (8 * 5 * 13 + 22, 64), "dense0/b": (64,), "out/W": (64, 9), "out/b": (9,),
+    }
+    rng = np.random.default_rng(0)
+    arrays = {f"param/{name}": rng.normal(size=shape) for name, shape in shapes.items()}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    path = tmp_path / "policy.npz"
+    np.savez(path, **arrays)
+    out = tmp_path / "out"
+    argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad metadata in checkpoint {str(path)!r}" in err
+    assert "'filters': 4" in err and "its geometry's" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["Infinity", "1e308"])
+def test_train_refuses_a_non_finite_policy(rate, tmp_path, monkeypatch, capsys):
+    """An infinite learning rate is refused as it enters; a finite one that
+    drives the parameters to inf or NaN is refused before anything is written."""
+    monkeypatch.setenv("MINISLOT_TRAIN__LEARNING_RATE", rate)
+    out = tmp_path / "out"
+    assert main(["train", "--tiny", "--episodes", "80", "--quiet", "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]  # after any numpy warnings
+    assert last.startswith("error: ") and "learning_rate" in last
     assert not out.exists()
 
 
@@ -540,9 +580,14 @@ def _check_outputs(argv: list[str], out: Path) -> None:
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"].startswith(f"minislot {argv[0]}")
     if argv[0] == "train":
-        lines = (out / "training.csv").read_text().splitlines()
-        assert len(lines) == 1 + int(argv[2])
-        load_checkpoint(out / "checkpoint.npz")
+        with open(out / "training.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == int(argv[2])
+        for row in rows:
+            assert math.isfinite(float(row["total_reward"])), row
+            assert math.isfinite(float(row["moving_avg_reward"])), row
+        _, params, _ = load_checkpoint(out / "checkpoint.npz")
+        assert all(np.isfinite(value).all() for value in params.values())
     else:
         rows = 2 * 2 if argv[0] == "baseline" else 1
         assert len((out / "eval.csv").read_text().splitlines()) == 1 + rows

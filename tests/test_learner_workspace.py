@@ -1,42 +1,48 @@
 """The workspace learner against the allocating learner it replaced.
 
 ``ReferenceNetwork`` and ``ReferenceAdam`` below are the forward, backward,
-col2im, loss and Adam that allocated every temporary, copied unchanged.
-Training with the workspace must give the same bits, step for step: the
-same gemm operands in the same K order and the same elementwise order.
+col2im, loss and Adam that allocated every temporary, copied with one
+change: the reference reads its layers from the architecture a checkpoint
+records, and each layer's sizes from the arrays it makes, never from
+``QNetwork``.  Training with the workspace must give the same bits, step
+for step: the same gemm operands in the same K order and the same
+elementwise order.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from minislot.agent import ReplayBuffer, _td_targets
+from minislot.agent import ReplayBuffer, _td_targets, save_checkpoint
 from minislot.env import expand_cells
 from minislot.net import (
     Adam,
-    ConvSpec,
-    NetConfig,
     QNetwork,
     clip_global_norm,
     default_net_config,
 )
 
 
-class ReferenceNetwork(QNetwork):
-    """Parameters, shapes and init from QNetwork; every pass allocates."""
+class ReferenceNetwork:
+    """The layers of a checkpoint's ``net_config``; every pass allocates."""
+
+    def __init__(self, architecture: dict):
+        self.conv = architecture["conv"]
+        self.dense = architecture["dense"]
 
     # ---------- forward ----------
 
     def _conv_forward(self, x, w, b, spec):
         # x: (B, C, H, W) -> patches (B, Ho*Wo, C*k*k) -> matmul
-        k, s = spec.kernel, spec.stride
+        k, s = spec["kernel"], spec["stride"]
         windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, :: s]
         b_, c, ho, wo = windows.shape[:4]
         patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b_, ho * wo, c * k * k)
         z = patches @ w + b
-        return z.reshape(b_, ho, wo, spec.filters).transpose(0, 3, 1, 2), patches
+        return z.reshape(b_, ho, wo, spec["filters"]).transpose(0, 3, 1, 2), patches
 
     def forward(
         self,
@@ -52,7 +58,7 @@ class ReferenceNetwork(QNetwork):
             x = x[None]
             aux = aux[None]
         cache: dict = {"pre": [], "patches": [], "inputs": []}
-        for i, spec in enumerate(self.config.conv):
+        for i, spec in enumerate(self.conv):
             z, patches = self._conv_forward(
                 x, params[f"conv{i}/W"], params[f"conv{i}/b"], spec
             )
@@ -66,7 +72,8 @@ class ReferenceNetwork(QNetwork):
         h = np.concatenate([flat, aux], axis=1)
         if keep_cache:
             cache["concat"] = h
-        for i in range(len(self.config.dense)):
+            cache["flat_dim"] = flat.shape[1]
+        for i in range(len(self.dense)):
             z = h @ params[f"dense{i}/W"] + params[f"dense{i}/b"]
             if keep_cache:
                 cache["pre"].append(z)
@@ -89,8 +96,8 @@ class ReferenceNetwork(QNetwork):
     ) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d(loss)/d(q-values)."""
         grads: dict[str, np.ndarray] = {}
-        n_conv = len(self.config.conv)
-        n_dense = len(self.config.dense)
+        n_conv = len(self.conv)
+        n_dense = len(self.dense)
 
         h_last = cache["inputs"][-1] if n_dense else cache["concat"]
         grads["out/W"] = h_last.T @ dq
@@ -105,34 +112,28 @@ class ReferenceNetwork(QNetwork):
             grads[f"dense{i}/b"] = dz.sum(axis=0)
             dh = dz @ params[f"dense{i}/W"].T
 
-        dflat = dh[:, : self.flat_dim]
-        if not self.config.conv:
+        dflat = dh[:, : cache["flat_dim"]]
+        if not self.conv:
             return grads
-        batch = dq.shape[0]
-        ch = self.config.conv[-1].filters
-        h_out, w_out = self.layer_dims[-1]
-        dx = dflat.reshape(batch, ch, h_out, w_out)
+        dx = dflat.reshape(cache["pre"][n_conv - 1].shape)
         for i in range(n_conv - 1, -1, -1):
-            spec = self.config.conv[i]
+            spec = self.conv[i]
             pre = cache["pre"][i]  # (B, F, Ho, Wo), same layout as dx
             dz = dx * (pre > 0.0)
-            dz_flat = dz.transpose(0, 2, 3, 1).reshape(-1, spec.filters)
+            dz_flat = dz.transpose(0, 2, 3, 1).reshape(-1, spec["filters"])
             patches = cache["patches"][i].reshape(-1, cache["patches"][i].shape[-1])
             grads[f"conv{i}/W"] = patches.T @ dz_flat
             grads[f"conv{i}/b"] = dz_flat.sum(axis=0)
             if i > 0:
                 dpatches = dz_flat @ params[f"conv{i}/W"].T
-                dx = self._col2im(dpatches, i)
+                dx = self._col2im(dpatches, spec, cache["pre"][i - 1].shape, pre.shape)
         return grads
 
-    def _col2im(self, dpatches: np.ndarray, layer: int) -> np.ndarray:
-        """Scatter patch gradients back to the input map of conv ``layer``."""
-        spec = self.config.conv[layer]
-        in_ch = self.config.conv[layer - 1].filters
-        h_in, w_in = self.layer_dims[layer - 1]
-        h_out, w_out = self.layer_dims[layer]
-        batch = dpatches.shape[0] // (h_out * w_out)
-        k, s = spec.kernel, spec.stride
+    def _col2im(self, dpatches: np.ndarray, spec: dict, in_shape, out_shape) -> np.ndarray:
+        """Scatter patch gradients back to a conv's (B, C, H, W) input map."""
+        batch, in_ch, h_in, w_in = in_shape
+        h_out, w_out = out_shape[2:]
+        k, s = spec["kernel"], spec["stride"]
         dcols = dpatches.reshape(batch, h_out, w_out, in_ch, k, k)
         dx = np.zeros((batch, in_ch, h_in, w_in))
         for di in range(k):
@@ -217,9 +218,17 @@ BATCHES = (32, 31, 1, 32, 5)
 GEOMETRIES = {
     "default": default_net_config(24, 56, 22, 9),
     "tiny": default_net_config(8, 16, 12, 4),
-    "one-conv-no-dense": NetConfig(3, 7, 9, 5, 3, conv=(ConvSpec(4),), dense=()),
-    "dense-only": default_net_config(2, 2, 5, 3),
+    "one-conv": default_net_config(5, 9, 5, 3),  # conv1 cannot fit conv0's 2x4
+    "dense-only": default_net_config(2, 2, 5, 3),  # no conv fits a 2x2 grid
 }
+
+
+def recorded_architecture(net: QNetwork, params: dict, tmp_path) -> dict:
+    """The ``net_config`` a checkpoint of ``net`` records."""
+    path = tmp_path / "policy.npz"
+    save_checkpoint(path, net, params)
+    with np.load(path) as archive:
+        return json.loads(bytes(archive["__meta__"]).decode())["net_config"]
 
 
 def random_batch(rng, config, batch, n_ues=3, scale=20.0):
@@ -240,10 +249,12 @@ def same_bits(a: dict, b: dict) -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_workspace_training_matches_the_allocating_learner(name):
+def test_workspace_training_matches_the_allocating_learner(name, tmp_path):
     config = GEOMETRIES[name]
-    net, ref = QNetwork(config), ReferenceNetwork(config)
+    net = QNetwork(config)
     params = net.init_params(np.random.default_rng(1))
+    ref = ReferenceNetwork(recorded_architecture(net, params, tmp_path))
+    assert len(ref.conv) == {"dense-only": 0, "one-conv": 1}.get(name, 2)
     ref_params = {k: v.copy() for k, v in params.items()}
     opt, ref_opt = Adam(learning_rate=3e-3), ReferenceAdam(learning_rate=3e-3)
     rng = np.random.default_rng(2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from minislot.net import (
+    GRID_CHANNELS,
     Adam,
-    ConvSpec,
     NetConfig,
     QNetwork,
     clip_global_norm,
@@ -13,23 +13,14 @@ from minislot.net import (
 
 
 def small_net(rng):
-    config = NetConfig(
-        grid_channels=3,
-        grid_height=8,
-        grid_width=16,
-        aux_dim=12,
-        n_actions=4,
-        conv=(ConvSpec(4), ConvSpec(8)),
-        dense=(16,),
-    )
-    net = QNetwork(config)
+    net = QNetwork(default_net_config(8, 16, 12, 4))
     return net, net.init_params(rng)
 
 
 def batch(rng, net, n=6):
     c = net.config
     return (
-        rng.random((n, c.grid_channels, c.grid_height, c.grid_width)),
+        rng.random((n, GRID_CHANNELS, c.grid_height, c.grid_width)),
         rng.random((n, c.aux_dim)),
         rng.integers(0, c.n_actions, size=n),
         rng.normal(size=n),
@@ -37,12 +28,17 @@ def batch(rng, net, n=6):
 
 
 def test_default_config_keeps_fitting_convs():
-    full = default_net_config(24, 56, 22, 9)
-    assert len(full.conv) == 2
-    tiny = default_net_config(8, 16, 12, 4)
-    assert len(tiny.conv) == 2
-    flat = default_net_config(2, 2, 5, 3)
-    assert flat.conv == ()  # a 3x3 kernel cannot fit a 2x2 grid
+    assert len(default_net_config(24, 56, 22, 9).conv_dims()) == 2
+    assert len(default_net_config(8, 16, 12, 4).conv_dims()) == 2
+    assert default_net_config(5, 9, 5, 3).conv_dims() == [(2, 4)]  # conv1 cannot fit 2x4
+    assert default_net_config(2, 2, 5, 3).conv_dims() == []  # a 3x3 kernel cannot fit 2x2
+
+
+def test_architecture_records_only_the_convs_that_fit():
+    assert NetConfig(5, 9, 5, 3).architecture() == {
+        "grid_channels": 3, "grid_height": 5, "grid_width": 9, "aux_dim": 5, "n_actions": 3,
+        "conv": [{"filters": 8, "kernel": 3, "stride": 2}], "dense": [64],
+    }
 
 
 def test_conv_output_geometry():
@@ -56,9 +52,11 @@ def test_conv_output_geometry():
 def test_param_shapes_and_count():
     net, params = small_net(np.random.default_rng(0))
     shapes = net.param_shapes()
-    assert shapes["conv0/W"] == (3 * 9, 4)
-    assert shapes["conv1/W"] == (4 * 9, 8)
-    assert shapes["out/W"][1] == 4
+    assert shapes["conv0/W"] == (3 * 9, 8)
+    assert shapes["conv1/W"] == (8 * 9, 16)
+    # 8x16 -> 3x7 -> 1x3, 16 filters, plus the 12 aux entries
+    assert shapes["dense0/W"] == (16 * 1 * 3 + 12, 64)
+    assert shapes["out/W"] == (64, 4)
     assert net.n_params() == sum(p.size for p in params.values())
     for name, param in params.items():
         assert param.shape == shapes[name]
@@ -82,23 +80,6 @@ def test_forward_shapes_and_single_sample():
     assert q.shape == (6, 4)
     single = net.forward(params, grid[0], aux[0])
     np.testing.assert_allclose(single[0], q[0], rtol=1e-12)
-
-
-def test_linear_network_gradients_are_exact():
-    config = NetConfig(
-        grid_channels=3, grid_height=2, grid_width=3, aux_dim=4,
-        n_actions=3, conv=(), dense=(),
-    )
-    net = QNetwork(config)
-    rng = np.random.default_rng(2)
-    params = net.init_params(rng)
-    grid = rng.random((5, 3, 2, 3))
-    aux = rng.random((5, 4))
-    actions = rng.integers(0, 3, size=5)
-    targets = rng.normal(size=5)
-    worst, checked = gradient_check(net, params, grid, aux, actions, targets, rng)
-    assert checked == net.n_params()  # no rectifiers, nothing skipped
-    assert worst < 1e-8
 
 
 def test_conv_dense_gradients_match_finite_differences():
@@ -188,16 +169,6 @@ def test_forward_is_finite_on_random_inputs():
     net, params = small_net(rng)
     c = net.config
     for _ in range(100):  # 100 batches x 100 samples = 1e4 draws
-        grid = rng.normal(scale=3.0, size=(100, c.grid_channels, c.grid_height, c.grid_width))
+        grid = rng.normal(scale=3.0, size=(100, GRID_CHANNELS, c.grid_height, c.grid_width))
         aux = rng.normal(scale=3.0, size=(100, c.aux_dim))
         assert np.isfinite(net.forward(params, grid, aux)).all()
-
-
-def test_kernel_larger_than_input_raises():
-    with pytest.raises(ValueError):
-        QNetwork(
-            NetConfig(
-                grid_channels=3, grid_height=2, grid_width=8, aux_dim=4,
-                n_actions=2, conv=(ConvSpec(4, kernel=3),), dense=(),
-            )
-        )

@@ -102,6 +102,11 @@ def check_invariants(env: SchedulingEnv) -> None:
     assert env.occupancy.free_units() == code.size - np.count_nonzero(code)
     if env.done:
         return
+    # the base tier serves its queue's head, and step() pops a user as soon
+    # as it is served, so no queued user is ever served
+    if env.phase == Tier.BT:
+        assert env.active_ue == env._bt_queue[0]
+        assert not any(env.served[ue] for ue in env._bt_queue)
     # the fit kept for each feasible action is the first fit on the grid
     # as it stands, where step() will place it
     for action in np.flatnonzero(env.feasible_actions()):
