@@ -182,9 +182,15 @@ def act_epsilon_greedy(
         raise RuntimeError("no feasible action to select")
     if rng.random() < epsilon:
         return int(rng.choice(feasible))
+    return _greedy_action(net, params, cell_code, aux, mask, n_ues)
+
+
+def _greedy_action(
+    net: QNetwork, params: dict[str, np.ndarray], cell_code, aux, mask, n_ues: int
+) -> int:
+    """The feasible action of highest Q in one observed state."""
     q = net.forward(params, expand_cells(cell_code, n_ues), aux)[0]
-    q = np.where(mask, q, -np.inf)
-    return int(np.argmax(q))  # argmax takes the lowest index on ties
+    return int(np.argmax(np.where(mask, q, -np.inf)))  # the lowest index on ties
 
 
 @dataclass(frozen=True)
@@ -341,10 +347,7 @@ def greedy_rollout(
     bookkeeping)."""
     env.reset(profiles)
     while not env.done:
-        cell, aux = env.compact_observation()
-        mask = env.feasible_actions()
-        q = net.forward(params, expand_cells(cell, env.config.n_ues), aux)[0]
-        env.step(int(np.argmax(np.where(mask, q, -np.inf))))
+        env.step(_greedy_action(net, params, *_observe(env), env.config.n_ues))
     return env.plan()
 
 

@@ -18,12 +18,14 @@ episode as soon as some user provably cannot reach its minimum QoE.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from struct import Struct
 
 import numpy as np
 
 from .baselines import AllocationPlan, equal_time_frequency_plan
-from .grid import BwpAllocation, BwpShape, Occupancy, Tier, bwp_shape
+from .grid import BwpAllocation, BwpShape, Occupancy, Tier, _cells, bwp_shape
 from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate, qoe_fn  # noqa: F401
@@ -99,9 +101,19 @@ _COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
 # first allocation on
 _NO_SCORES = (-math.inf, 0.0)
 
+_DOUBLE = Struct("d")  # array("d")'s native float64 layout
+
 
 class SchedulingEnv:
     """Stateful environment; reset() then alternate feasible_actions()/step()."""
+
+    # The attributes that decide what can follow a live state.  Everything
+    # else reset() sets is fixed per trial, derived from these, or a record
+    # of the past (tests/test_oracle_table.py checks the split).
+    KEY_FIELDS = (
+        "occupancy", "bt_bits", "et_bits", "bt_count", "et_count", "served",
+        "bt_excluded", "phase", "_et_rotation", "_active",
+    )
 
     def __init__(
         self,
@@ -161,7 +173,6 @@ class SchedulingEnv:
         equal_split = equal_time_frequency_plan(cfg, profiles)
         self.order = tuple(serving_order([r.q_combined for r in equal_split.reports]))
         self.phase = Tier.BT
-        self._bt_queue = list(self.order)
         self._et_rotation: list[int] = []
         self._active: int | None = None
         self._mask = np.zeros(self.n_actions, dtype=bool)
@@ -222,7 +233,6 @@ class SchedulingEnv:
 
         if tier == Tier.BT and q_bt >= qp.min_qoe:
             self.served[ue] = True
-            self._bt_queue.pop(0)
         elif tier == Tier.ET:
             self._et_rotation.append(self._et_rotation.pop(0))
 
@@ -241,6 +251,51 @@ class SchedulingEnv:
             reward = rp.qoe_weight * delta + (1.0 - rp.qoe_weight) * rp.time_penalty
         return reward, self.done
 
+    def child_keys(self, actions: list[int]) -> list[bytes]:
+        """Exact keys over ``KEY_FIELDS`` of the children that ``step`` would
+        make from this live state by each of ``actions``, without a step.
+
+        A step marks the action's stored first fit, adds its bits to the
+        active user's tier and counts it; the rest of what it changes (the
+        served flag, the rotation, the next active user) follows from those
+        fields and the trial's constants.  So a key holds the fields just
+        after that add, with the cursor as the parent holds it, and equal
+        keys mean equal children.  The counts sum to the depth, so children
+        of different depths never share a key.  Cells count only as free or
+        occupied, the bits enter as their float64 bytes, unrounded, and the
+        flags one byte each.  Every part but the rotation, which comes last,
+        has a fixed length per trial.
+        """
+        ue = self._active
+        et = self.phase == Tier.ET
+        n_freq, n_time = self.occupancy.code.shape
+        n_bytes = (n_freq * n_time + 7) // 8
+        free = self.occupancy.free
+        ints = [*self.bt_count, *self.et_count, et, ue, *self._et_rotation]
+        slot = ue + et * len(self.bt_count)  # the acting user's entry in its tier
+        ints[slot] += 1
+        shared = b"".join((
+            array("d", self.bt_bits + self.et_bits).tobytes(),
+            bytes(self.served + self.bt_excluded),
+            array("q", ints).tobytes(),
+        ))
+        # each child's own bits for the acting user go in the gap
+        before, after = shared[: 8 * slot], shared[8 * slot + 8 :]
+        bits = (self.et_bits if et else self.bt_bits)[ue]
+        added = self._added_bits[ue]
+        keys = []
+        for action in actions:
+            shape = self.shapes[action]
+            t, f = self._fits[action]
+            cells = _cells(n_freq, t, f, shape.freq_width_units, shape.time_len_units)
+            keys.append(b"".join((
+                (free ^ cells).to_bytes(n_bytes, "little"),
+                before,
+                _DOUBLE.pack(bits + added[action]),  # the float add step() makes
+                after,
+            )))
+        return keys
+
     # ---------- cursor resolution ----------
 
     def _resolve_cursor(self) -> str | None:
@@ -252,8 +307,10 @@ class SchedulingEnv:
         processed for both tiers, and None when the episode continues.
         """
         if self.phase == Tier.BT:
-            if self._bt_queue:  # its head is the next unserved user
-                ue = self._bt_queue[0]
+            # the base tier serves users in order, each until it is served
+            for ue in self.order:
+                if self.served[ue]:
+                    continue
                 if self._bt_hopeless(ue):
                     return "violation"
                 mask, fits, placeable, feasible = self._mask_detail(ue, Tier.BT)

@@ -5,21 +5,19 @@ explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
 Two sequences often reach the same state (the same occupied cells, bits,
 counts and cursor), and what can follow a state depends on nothing else.
-So each child is keyed exactly from its parent and action before it is
-made, and only a child whose key is new is cloned, stepped and searched:
-a repeated child costs no clone and no step.  A node budget turns pathological
-instances into a clean error instead of an open-ended search.
+So the environment keys each child exactly from its parent and action
+before it is made (``SchedulingEnv.child_keys``), and only a child whose
+key is new is cloned, stepped and searched: a repeated child costs no
+clone and no step.  A node budget turns pathological instances into a
+clean error instead of an open-ended search.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from struct import Struct
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
-from .grid import Tier, _cells
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
 from .scenario import ScenarioConfig, UeProfile
@@ -62,66 +60,6 @@ def _check_size(config: ScenarioConfig, n_actions: int) -> None:
         )
 
 
-# The SchedulingEnv attributes that decide what can follow a live state.
-# Everything else reset() sets is fixed per trial, derived from these, or
-# a record of the past (tests/test_oracle_table.py checks the split).
-KEY_FIELDS = (
-    "occupancy", "bt_bits", "et_bits", "bt_count", "et_count", "served",
-    "bt_excluded", "phase", "_bt_queue", "_et_rotation", "_active",
-)
-
-
-_DOUBLE = Struct("d")  # array("d")'s native float64 layout
-
-
-def child_keys(env: SchedulingEnv, actions: list[int]) -> list[bytes]:
-    """Exact keys over ``KEY_FIELDS`` of the children that stepping the live
-    ``env`` by each of ``actions`` would make, computed without a step.
-
-    A step marks the action's stored first fit, adds its bits to the
-    active user's tier and counts it; the rest of what it changes (the
-    served flag, the queues, the next active user) follows from those
-    fields and the trial's constants.  So a key holds the fields just after
-    that add, with the cursor as the parent holds it, and equal keys mean
-    equal children.  The counts sum to the depth, so children of different
-    depths never share a key.  Cells count only as free or occupied, the
-    bits enter as their float64 bytes, unrounded, and the flags one byte
-    each.  Every part but the two queues has a fixed length per trial, and
-    the first queue is length-prefixed.
-    """
-    ue = env._active
-    et = env.phase == Tier.ET
-    grid = env.occupancy
-    n_freq, n_time = grid.code.shape
-    n_bytes = (n_freq * n_time + 7) // 8
-    free = grid.free
-    queue = env._bt_queue
-    ints = [*env.bt_count, *env.et_count, et, ue, len(queue), *queue, *env._et_rotation]
-    slot = ue + et * len(env.bt_count)  # the acting user's entry in its tier
-    ints[slot] += 1
-    shared = b"".join((
-        array("d", env.bt_bits + env.et_bits).tobytes(),
-        bytes(env.served + env.bt_excluded),
-        array("q", ints).tobytes(),
-    ))
-    # each child's own bits for the acting user go in the gap
-    before, after = shared[: 8 * slot], shared[8 * slot + 8 :]
-    bits = (env.et_bits if et else env.bt_bits)[ue]
-    added = env._added_bits[ue]
-    keys = []
-    for action in actions:
-        shape = env.shapes[action]
-        t, f = env._fits[action]
-        cells = _cells(n_freq, t, f, shape.freq_width_units, shape.time_len_units)
-        keys.append(b"".join((
-            (free ^ cells).to_bytes(n_bytes, "little"),
-            before,
-            _DOUBLE.pack(bits + added[action]),  # the float add step() makes
-            after,
-        )))
-    return keys
-
-
 class _Search:
     def __init__(self, env: SchedulingEnv):
         self.nodes = 0
@@ -160,7 +98,7 @@ class _Search:
             raise SearchSizeError(f"search exceeded node budget {NODE_BUDGET}")
         seen = self.seen
         fresh = []
-        for action, key in zip(actions, child_keys(env, actions)):
+        for action, key in zip(actions, env.child_keys(actions)):
             if key not in seen:
                 seen.add(key)
                 fresh.append(action)

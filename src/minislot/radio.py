@@ -112,8 +112,6 @@ def bwp_rate_bits(area_shz: float, snr_linear: float) -> float:
 class LinkState:
     """Per-user link quantities, fixed for the duration of one trial."""
 
-    distance_m: float
-    channel_power_gain: float
     snr_linear: float
     spectral_efficiency: float  # bits per second per hertz
 
@@ -123,9 +121,4 @@ class LinkState:
     ) -> "LinkState":
         gain = path_gain(distance_m, link.carrier_frequency_hz)
         snr_lin = snr(link, gain, per_ue_psd_w_hz(link, n_ues))
-        return cls(
-            distance_m=distance_m,
-            channel_power_gain=gain,
-            snr_linear=snr_lin,
-            spectral_efficiency=math.log2(1.0 + snr_lin),
-        )
+        return cls(snr_linear=snr_lin, spectral_efficiency=math.log2(1.0 + snr_lin))

@@ -8,8 +8,8 @@ profiles, so rows with the same trial index are directly comparable.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -100,7 +100,8 @@ def run_eval(
     filename: str = "eval.csv",
 ) -> list[dict]:
     """Evaluate the requested methods on the config's ``n_eval_trials``
-    sampled trials, shared by every method."""
+    sampled trials, shared by every method; write nothing when a total
+    QoE is not finite."""
     if not methods:
         raise ValueError("no methods to evaluate")
     unknown = set(methods) - set(ALL_METHODS)
@@ -143,11 +144,16 @@ def run_eval(
     if ORACLE in methods:
         tasks = [(config, trial) for trial in range(n_trials)]
         if jobs > 1:
+            # imported here, or every run would load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows.extend(pool.map(_oracle_trial, tasks))
         else:
             rows.extend(_oracle_trial(t) for t in tasks)
 
+    for row in rows:
+        if not math.isfinite(total := row["total_qoe"]):
+            raise ValueError(f"trial {row['trial']} {row['method']} total QoE is {total}")
     rows.sort(key=lambda r: (r["trial"], r["method"]))
     os.makedirs(out_dir, exist_ok=True)
     write_eval_csv(os.path.join(out_dir, filename), rows)

@@ -252,7 +252,7 @@ def split_cases(draw):
                 distance_m=100.0,
                 fov_prob=fov_prob,
                 qoe=config.qoe_params(i, fov_prob),
-                link=LinkState(100.0, 1e-9, 2.0**efficiency - 1.0, efficiency),
+                link=LinkState(2.0**efficiency - 1.0, efficiency),
             )
         )
     return config, profiles

@@ -468,6 +468,11 @@ def test_train_refuses_a_non_finite_policy(rate, tmp_path, monkeypatch, capsys):
             {"MINISLOT_REWARD__DISCOUNT": "Infinity"},
             "reward discount must be finite, got inf",
         ),
+        (
+            ["baseline", "--trials", "2"],
+            {"MINISLOT_SCENARIO__QOE_A": "1e308"},
+            "trial 0 equal_bandwidth total QoE is inf",
+        ),
     ],
 )
 def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, monkeypatch, capsys):
@@ -506,6 +511,10 @@ with np.load(CHECKPOINT) as _archive:
     META = json.loads(bytes(_archive["__meta__"]).decode())
 TINY = json.loads(json.dumps(to_dict(tiny_experiment())))  # tuples as lists
 CONFIG_LEAVES = _leaves(TINY)
+# the train case's base learns from 8 transitions on, so the few steps of
+# its 3 episodes reach the learner
+TINY_TRAIN = json.loads(json.dumps(TINY))
+TINY_TRAIN["train"].update(batch_size=8, train_start_size=8)
 META_LEAVES = _leaves(META)
 OUT_OF_RANGE = [0, -1, 1.5, 10**30, math.nan, math.inf, -math.inf, None, True, "x", [], {}]
 
@@ -531,15 +540,16 @@ def _config_cases(draw):
     """A tiny experiment with one leaf changed, run through baseline or
     train: (what was drawn, a function that writes the inputs into a
     directory and returns the command line)."""
-    path = draw(st.sampled_from(CONFIG_LEAVES))
-    value = draw(_values(_get(TINY, path)))
     command = draw(st.sampled_from([
         ["baseline", "--trials", "2"],
         ["train", "--episodes", "3", "--quiet"],
     ]))
+    base = TINY_TRAIN if command[0] == "train" else TINY
+    path = draw(st.sampled_from(CONFIG_LEAVES))
+    value = draw(_values(_get(base, path)))
 
     def setup(tmp: Path) -> list[str]:
-        config = json.loads(json.dumps(TINY))
+        config = json.loads(json.dumps(base))
         _set_leaf(list(path), value)(config)
         (tmp / "experiment.json").write_text(json.dumps(config))
         return command + ["--config", str(tmp / "experiment.json")]
@@ -589,8 +599,12 @@ def _check_outputs(argv: list[str], out: Path) -> None:
         _, params, _ = load_checkpoint(out / "checkpoint.npz")
         assert all(np.isfinite(value).all() for value in params.values())
     else:
-        rows = 2 * 2 if argv[0] == "baseline" else 1
-        assert len((out / "eval.csv").read_text().splitlines()) == 1 + rows
+        with open(out / "eval.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == (2 * 2 if argv[0] == "baseline" else 1)
+        for row in rows:
+            assert math.isfinite(float(row["total_qoe"])), row
+            assert all(math.isfinite(float(q)) for q in row["per_ue_qoe"].split(";")), row
 
 
 @settings(max_examples=500, deadline=None, database=None)

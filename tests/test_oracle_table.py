@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier
-from minislot.oracle import KEY_FIELDS, child_keys, oracle_best_plan
+from minislot.oracle import oracle_best_plan
 from minislot.scenario import scenario_for_trial, tiny_config
+
+KEY_FIELDS = SchedulingEnv.KEY_FIELDS
 
 # SchedulingEnv attributes the key leaves out
 NOT_KEYED = {
@@ -48,7 +50,7 @@ def live_states():
 
 def keys(env):
     """The child key of every feasible action of ``env``."""
-    return child_keys(env, [int(a) for a in np.flatnonzero(env.feasible_actions())])
+    return env.child_keys([int(a) for a in np.flatnonzero(env.feasible_actions())])
 
 
 def test_key_fields_and_exclusions_cover_the_env_state():
@@ -82,7 +84,6 @@ PERTURB = {
     "served": lambda e: e.served.__setitem__(1, not e.served[1]),
     "bt_excluded": lambda e: e.bt_excluded.__setitem__(1, not e.bt_excluded[1]),
     "phase": lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT),
-    "_bt_queue": lambda e: e._bt_queue.append(0),
     "_et_rotation": lambda e: e._et_rotation.append(0),
     "_active": lambda e: setattr(e, "_active", _other(e)),
 }
@@ -99,16 +100,12 @@ def test_every_key_field_changes_the_key():
                 assert a != b, name
 
 
-def test_key_ignores_owners_and_splits_the_queues():
+def test_key_ignores_owners():
     for env in live_states():
         recoloured = env.clone()
         code = recoloured.occupancy.code
         code[code > 0] = 200  # the same cells stay free
         assert keys(recoloured) == keys(env)
-    a, b = env.clone(), env.clone()
-    a._bt_queue, a._et_rotation = [0], []
-    b._bt_queue, b._et_rotation = [], [0]
-    assert set(keys(a)).isdisjoint(keys(b))
 
 
 def plain_best(env: SchedulingEnv) -> tuple[float, tuple[int, ...]]:
@@ -218,7 +215,7 @@ def check_equal_keys_step_alike(config, trial) -> int:
     while stack:
         node = stack.pop()
         actions = [int(a) for a in np.flatnonzero(node.feasible_actions())]
-        for action, key in zip(actions, child_keys(node, actions), strict=True):
+        for action, key in zip(actions, node.child_keys(actions), strict=True):
             child = node.clone()
             child.step(action)
             if key not in first:

@@ -102,11 +102,11 @@ def check_invariants(env: SchedulingEnv) -> None:
     assert env.occupancy.free_units() == code.size - np.count_nonzero(code)
     if env.done:
         return
-    # the base tier serves its queue's head, and step() pops a user as soon
-    # as it is served, so no queued user is ever served
+    # the base tier serves users in order, each until it is served
     if env.phase == Tier.BT:
-        assert env.active_ue == env._bt_queue[0]
-        assert not any(env.served[ue] for ue in env._bt_queue)
+        ahead = env.order[: env.order.index(env.active_ue)]
+        assert all(env.served[ue] for ue in ahead)
+        assert not env.served[env.active_ue]
     # the fit kept for each feasible action is the first fit on the grid
     # as it stands, where step() will place it
     for action in np.flatnonzero(env.feasible_actions()):
