@@ -21,7 +21,15 @@ import numpy as np
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv, expand_cells
-from .net import GRID_CHANNELS, Adam, NetConfig, QNetwork, clip_global_norm, default_net_config
+from .net import (
+    DTYPE,
+    GRID_CHANNELS,
+    Adam,
+    NetConfig,
+    QNetwork,
+    clip_global_norm,
+    default_net_config,
+)
 from .scenario import (
     STREAM_ACTIONS,
     STREAM_EPISODE,
@@ -356,13 +364,14 @@ def greedy_rollout(
 
 def save_checkpoint(path, net: QNetwork, params: dict[str, np.ndarray], extra: dict | None = None) -> None:
     """Write parameters plus the network's geometry and the architecture
-    it gives."""
+    it gives; the parameters are stored as float64, which holds every
+    float32 exactly."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "net_config": net.config.architecture(),
         "extra": extra or {},
     }
-    arrays = {f"param/{k}": v for k, v in params.items()}
+    arrays = {f"param/{k}": v.astype(np.float64) for k, v in params.items()}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
@@ -381,6 +390,8 @@ _DAMAGED_ARCHIVE = (
 
 
 def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
+    """The network, its parameters rounded to the learner's float32 and
+    the checkpoint's extra fields."""
     try:
         with np.load(path) as data:
             members = {name: data[name] for name in data.files}
@@ -406,7 +417,10 @@ def load_checkpoint(path) -> tuple[QNetwork, dict[str, np.ndarray], dict]:
             raise ValueError(f"checkpoint parameter {name} is {params[name].dtype}, not float64")
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint parameter {name} is not finite")
-    return QNetwork(config), params, extra
+        # checked before rounding, which would make such a value inf
+        if (np.abs(params[name]) > np.finfo(DTYPE).max).any():
+            raise ValueError(f"checkpoint parameter {name} is beyond the float32 range")
+    return QNetwork(config), {k: v.astype(DTYPE) for k, v in params.items()}, extra
 
 
 def _read_meta(path, raw: np.ndarray) -> tuple[NetConfig, dict[str, tuple[int, ...]], dict]:

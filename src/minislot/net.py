@@ -7,11 +7,19 @@ The observation geometry fixes the architecture (``NetConfig``).
 Forward, backward, the Adam update and a finite-difference gradient check
 are all implemented here so training is self-contained and bitwise
 reproducible.
+
+The learner computes in float32 (``DTYPE``).  The two dense layers'
+forward products and ``dense0``'s input gradient are taken one row at a
+time, ``np.matmul(h[:, None, :], W)``: a stack of vector-matrix products,
+each summed the same way whatever the batch size and the BLAS thread
+count.  So a batch-B forward gives B batch-1 forwards bit for bit, and a
+trained result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,6 +29,7 @@ CONV_FILTERS = (8, 16)  # one 3x3 stride-2 conv each, while the map fits
 KERNEL = 3
 STRIDE = 2
 HIDDEN = 64  # units of the one dense layer
+DTYPE = np.float32  # parameters, Adam moments, gradients and workspaces
 
 
 @dataclass(frozen=True)
@@ -88,41 +97,44 @@ class _Workspace:
 
     Batch-shaped arrays have ``rows`` leading rows and a pass of ``b`` samples
     uses the first ``b``; conv arrays keep the (position, filter) layout the
-    conv matmul writes.  ``grads`` is in backward order, ``out``, ``dense0``
-    and then the conv layers last to first: ``clip_global_norm`` sums the
-    squared norms in dict order, so the order is part of the result.
+    conv matmul writes, and floats have the parameters' ``dtype``.
+    ``grads`` is in backward order, ``out``, ``dense0`` and then the conv
+    layers last to first: ``clip_global_norm`` sums the squared norms in
+    dict order, so the order is part of the result.
     """
 
-    def __init__(self, net: QNetwork, rows: int):
+    def __init__(self, net: QNetwork, rows: int, dtype: np.dtype):
         cfg = net.config
         n_conv = len(net.layer_dims)
         self.rows = rows
+        self.dtype = dtype
+        empty = partial(np.empty, dtype=dtype)
         self.patches, self.pre, self.act, self.mask = [], [], [], []
         self.dz, self.dpatches, self.dx = [], [], []
         in_ch, (h, w) = GRID_CHANNELS, (cfg.grid_height, cfg.grid_width)
-        self.grid = np.empty((rows, in_ch, h, w)) if n_conv else None
+        self.grid = empty((rows, in_ch, h, w)) if n_conv else None
         for i, (filters, (ho, wo)) in enumerate(zip(net.filters, net.layer_dims)):
             taps = in_ch * KERNEL * KERNEL
-            self.patches.append(np.empty((rows, ho * wo, taps)))
-            self.pre.append(np.empty((rows, ho * wo, filters)))
+            self.patches.append(empty((rows, ho * wo, taps)))
+            self.pre.append(empty((rows, ho * wo, filters)))
             # the last conv's rectifier writes straight into concat
-            self.act.append(None if i + 1 == n_conv else np.empty((rows, ho * wo, filters)))
+            self.act.append(None if i + 1 == n_conv else empty((rows, ho * wo, filters)))
             self.mask.append(np.empty((rows, ho * wo, filters), bool))
-            self.dz.append(np.empty((rows, ho * wo, filters)))
-            self.dpatches.append(np.empty((rows * ho * wo, taps)) if i else None)
-            self.dx.append(np.empty((rows, in_ch, h, w)) if i else None)
+            self.dz.append(empty((rows, ho * wo, filters)))
+            self.dpatches.append(empty((rows * ho * wo, taps)) if i else None)
+            self.dx.append(empty((rows, in_ch, h, w)) if i else None)
             in_ch, (h, w) = filters, (ho, wo)
-        self.concat = np.empty((rows, net.dense_in))
-        self.dense_pre = np.empty((rows, HIDDEN))
-        self.dense_act = np.empty((rows, HIDDEN))
+        self.concat = empty((rows, net.dense_in))
+        self.dense_pre = empty((rows, HIDDEN))
+        self.dense_act = empty((rows, HIDDEN))
         self.dense_mask = np.empty((rows, HIDDEN), bool)
-        self.dconcat = np.empty((rows, net.dense_in))
-        self.ddense = np.empty((rows, HIDDEN))
-        self.dq = np.empty((rows, cfg.n_actions))
+        self.dconcat = empty((rows, net.dense_in))
+        self.ddense = empty((rows, HIDDEN))
+        self.dq = empty((rows, cfg.n_actions))
         shapes = net.param_shapes()
         order = ["out", "dense0", *(f"conv{i}" for i in reversed(range(n_conv)))]
         self.grads = {
-            f"{layer}/{p}": np.empty(shapes[f"{layer}/{p}"])
+            f"{layer}/{p}": empty(shapes[f"{layer}/{p}"])
             for layer in order
             for p in ("W", "b")
         }
@@ -131,7 +143,7 @@ class _Workspace:
 class QNetwork:
     """Parameter container plus forward/backward functions.
 
-    Parameters live in a plain dict of float64 arrays keyed by layer name,
+    Parameters live in a plain dict of float32 arrays keyed by layer name,
     which keeps the optimiser, checkpointing and the gradient check simple.
     Intermediate arrays live in one workspace, grown to the largest batch
     seen and reused by every later call, so a pass allocates little more
@@ -163,24 +175,26 @@ class QNetwork:
             self._taps.append(windows.transpose(1, 2, 0, 3, 4).reshape(-1))
             in_ch, (h, w) = filters, dims
 
-    def _workspace(self, batch: int) -> _Workspace:
-        if self._ws is None or self._ws.rows < batch:
+    def _workspace(self, batch: int, dtype: np.dtype) -> _Workspace:
+        ws = self._ws
+        if ws is None or ws.rows < batch or ws.dtype != dtype:
             self._ws = None  # let the old arrays go before the new ones exist
-            self._ws = _Workspace(self, batch)
+            self._ws = _Workspace(self, batch, dtype)
         return self._ws
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return self.config.param_shapes()
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        """Fan-in scaled uniform init, deterministic in the generator state."""
+        """Fan-in scaled uniform init, deterministic in the generator state:
+        drawn in float64, then rounded to ``DTYPE``."""
         params = {}
         for name, shape in self.param_shapes().items():
             if name.endswith("/b"):
-                params[name] = np.zeros(shape)
+                params[name] = np.zeros(shape, DTYPE)
             else:
                 bound = 1.0 / np.sqrt(shape[0])
-                params[name] = rng.uniform(-bound, bound, size=shape)
+                params[name] = rng.uniform(-bound, bound, size=shape).astype(DTYPE)
         return params
 
     def n_params(self) -> int:
@@ -197,8 +211,8 @@ class QNetwork:
     ):
         """Q-values (B, n_actions); optionally also the backward cache.
 
-        The Q-values are a fresh array.  The cache points into the workspace
-        and holds until the next ``forward``.
+        The Q-values are a fresh array of the parameters' dtype.  The cache
+        points into the workspace and holds until the next ``forward``.
         """
         grid = np.asarray(grid)
         aux = np.asarray(aux)
@@ -206,7 +220,7 @@ class QNetwork:
             grid = grid[None]
             aux = aux[None]
         batch = grid.shape[0]
-        ws = self._workspace(batch)
+        ws = self._workspace(batch, params["out/W"].dtype)
         h = ws.concat[:batch]
         flat = h[:, : self.flat_dim]
         if self.filters:
@@ -232,12 +246,13 @@ class QNetwork:
                 z_maps = z.reshape(batch, ho, wo, filters).transpose(0, 3, 1, 2)
                 np.maximum(z_maps, 0.0, out=flat.reshape(batch, filters, ho, wo))
         np.copyto(h[:, self.flat_dim :], aux)
+        # the dense products row by row (see the module docstring)
         z = ws.dense_pre[:batch]
-        np.matmul(h, params["dense0/W"], out=z)
+        np.matmul(h[:, None, :], params["dense0/W"], out=z[:, None, :])
         z += params["dense0/b"]
         h = ws.dense_act[:batch]
         np.maximum(z, 0.0, out=h)
-        q = h @ params["out/W"]
+        q = np.matmul(h[:, None, :], params["out/W"])[:, 0]
         q += params["out/b"]
         if keep_cache:
             return q, {"batch": batch}
@@ -271,7 +286,7 @@ class QNetwork:
         np.matmul(ws.concat[:batch].T, dz, out=grads["dense0/W"])
         np.sum(dz, axis=0, out=grads["dense0/b"])
         dh = ws.dconcat[:batch]
-        np.matmul(dz, params["dense0/W"].T, out=dh)
+        np.matmul(dz[:, None, :], params["dense0/W"].T, out=dh[:, None, :])
 
         if not self.filters:
             return dict(grads)
@@ -404,8 +419,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
         _squares = np.empty(largest)
     total = 0.0
     for g in grads.values():
-        # (g * g).sum() in kept memory: the gradients are C-ordered float64,
-        # as g**2 would be, so the sum adds in the same order
+        # (g * g).sum() in kept memory: numpy squares in the gradients'
+        # dtype and widens into the float64 room, which sums in C order
         square = _squares[: g.size].reshape(g.shape)
         np.multiply(g, g, out=square)
         total += float(square.sum())
@@ -446,7 +461,11 @@ def gradient_check(
     until ``n_samples`` coordinates have actually been compared or the
     parameter pool is exhausted.  Returns the max relative error over the
     checked coordinates and how many were checked.
+
+    The check runs the network on float64 copies of ``params``: float32
+    rounding would swamp a central difference of ``step``.
     """
+    params = {name: value.astype(np.float64) for name, value in params.items()}
     _, analytic = net.loss_and_grads(params, grid, aux, actions, targets)
 
     names = sorted(params)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import platform
 
 import numpy as np
 
@@ -33,6 +34,21 @@ def build_env(config: ExperimentConfig) -> SchedulingEnv:
     return SchedulingEnv(config.scenario, reward=config.reward)
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numeric_build() -> dict:
+    """What trained bits depend on, the Python, numpy and BLAS builds, and
+    the BLAS thread variables as read, which they should not depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
+    }
+
+
 def _manifest(config: ExperimentConfig, command: str) -> dict:
     return {
         "version": __version__,
@@ -40,6 +56,7 @@ def _manifest(config: ExperimentConfig, command: str) -> dict:
         "seed": config.train.seed,
         "scenario_seed": config.scenario.rng_seed,
         "config": to_dict(config),
+        "build": _numeric_build(),
     }
 
 
@@ -50,9 +67,15 @@ def run_train(
     on_episode=None,
 ) -> tuple[TrainResult, str]:
     """Train one policy; write training.csv, checkpoint.npz, manifest.json,
-    or nothing when a trained parameter is not finite."""
+    or nothing when no episode took a step or a trained parameter is not
+    finite."""
     env = build_env(config)
     result = train(env, config.train, on_episode=on_episode)
+    if not any(m.steps for m in result.metrics):
+        raise ValueError(
+            f"none of the {len(result.metrics)} training episodes took a step: "
+            "each ended at reset, so nothing was learned"
+        )
     if not all(np.isfinite(value).all() for value in result.params.values()):
         rate = config.train.learning_rate
         raise ValueError(f"training diverged to non-finite parameters at learning_rate {rate}")

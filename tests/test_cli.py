@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import struct
 import tempfile
 import zipfile
@@ -51,6 +52,16 @@ def test_train_writes_artifacts(trained, capsys):
     assert manifest["seed"] == 7
     assert manifest["command"].startswith("minislot train")
     assert manifest["config"]["train"]["episodes"] == 40
+    # the numeric build trained bits depend on, and the thread variables
+    build = manifest["build"]
+    assert build["python"] == platform.python_version()
+    assert build["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert build["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert build["threads"] == {
+        name: os.environ.get(name, "unset")
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
     lines = (trained / "training.csv").read_text().splitlines()
     assert len(lines) == 41  # header + one row per episode
 
@@ -350,6 +361,35 @@ def test_checkpoint_of_another_architecture_is_refused(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"bad metadata in checkpoint {str(path)!r}" in err
     assert "'filters': 4" in err and "its geometry's" in err
+    assert not out.exists()
+
+
+def test_checkpoint_beyond_float32_is_refused(tmp_path, capsys):
+    """A finite float64 parameter that float32 cannot hold is refused
+    before it is rounded to inf."""
+    with np.load(CHECKPOINT) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["param/out/b"] = arrays["param/out/b"].copy()
+    arrays["param/out/b"][2] = 1e300
+    path = tmp_path / "policy.npz"
+    np.savez(path, **arrays)
+    out = tmp_path / "out"
+    argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint parameter out/b is beyond the float32 range\n"
+    assert not out.exists()
+
+
+def test_train_refuses_a_run_that_took_no_step(tmp_path, monkeypatch, capsys):
+    """A QoE scale of 1e308 ends every tiny episode at reset; such a run
+    writes nothing."""
+    monkeypatch.setenv("MINISLOT_SCENARIO__QOE_A", "1e308")
+    out = tmp_path / "out"
+    assert main(["train", "--tiny", "--episodes", "3", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "none of the 3 training episodes took a step" in err
     assert not out.exists()
 
 

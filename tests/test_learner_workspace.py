@@ -1,12 +1,13 @@
 """The workspace learner against the allocating learner it replaced.
 
 ``ReferenceNetwork`` and ``ReferenceAdam`` below are the forward, backward,
-col2im, loss and Adam that allocated every temporary, copied with one
-change: the reference reads its layers from the architecture a checkpoint
+col2im, loss and Adam that allocated every temporary, copied with two
+changes: the reference reads its layers from the architecture a checkpoint
 records, and each layer's sizes from the arrays it makes, never from
-``QNetwork``.  Training with the workspace must give the same bits, step
-for step: the same gemm operands in the same K order and the same
-elementwise order.
+``QNetwork``; and it computes in float32, with the dense layers' forward
+products and the dense input gradient taken row by row (``rowwise``).
+Training with the workspace must give the same bits, step for step: the
+same gemm operands in the same K order and the same elementwise order.
 """
 
 import json
@@ -24,6 +25,11 @@ from minislot.net import (
     clip_global_norm,
     default_net_config,
 )
+
+
+def rowwise(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``h @ w`` as a stack of one-row products."""
+    return np.matmul(h[:, None, :], w)[:, 0]
 
 
 class ReferenceNetwork:
@@ -52,8 +58,8 @@ class ReferenceNetwork:
         keep_cache: bool = False,
     ):
         """Q-values (B, n_actions); optionally also the backward cache."""
-        x = np.ascontiguousarray(grid, dtype=np.float64)
-        aux = np.asarray(aux, dtype=np.float64)
+        x = np.ascontiguousarray(grid, dtype=np.float32)
+        aux = np.asarray(aux, dtype=np.float32)
         if x.ndim == 3:
             x = x[None]
             aux = aux[None]
@@ -74,13 +80,13 @@ class ReferenceNetwork:
             cache["concat"] = h
             cache["flat_dim"] = flat.shape[1]
         for i in range(len(self.dense)):
-            z = h @ params[f"dense{i}/W"] + params[f"dense{i}/b"]
+            z = rowwise(h, params[f"dense{i}/W"]) + params[f"dense{i}/b"]
             if keep_cache:
                 cache["pre"].append(z)
             h = np.maximum(z, 0.0)
             if keep_cache:
                 cache["inputs"].append(h)
-        q = h @ params["out/W"] + params["out/b"]
+        q = rowwise(h, params["out/W"]) + params["out/b"]
         if keep_cache:
             cache["q"] = q
             return q, cache
@@ -110,7 +116,7 @@ class ReferenceNetwork:
             h_in = cache["inputs"][n_conv + i - 1] if i > 0 else cache["concat"]
             grads[f"dense{i}/W"] = h_in.T @ dz
             grads[f"dense{i}/b"] = dz.sum(axis=0)
-            dh = dz @ params[f"dense{i}/W"].T
+            dh = rowwise(dz, params[f"dense{i}/W"].T)
 
         dflat = dh[:, : cache["flat_dim"]]
         if not self.conv:
@@ -135,7 +141,7 @@ class ReferenceNetwork:
         h_out, w_out = out_shape[2:]
         k, s = spec["kernel"], spec["stride"]
         dcols = dpatches.reshape(batch, h_out, w_out, in_ch, k, k)
-        dx = np.zeros((batch, in_ch, h_in, w_in))
+        dx = np.zeros((batch, in_ch, h_in, w_in), dpatches.dtype)
         for di in range(k):
             for dj in range(k):
                 dx[:, :, di : di + h_out * s : s, dj : dj + w_out * s : s] += (
@@ -253,6 +259,7 @@ def test_workspace_training_matches_the_allocating_learner(name, tmp_path):
     config = GEOMETRIES[name]
     net = QNetwork(config)
     params = net.init_params(np.random.default_rng(1))
+    assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
     ref = ReferenceNetwork(recorded_architecture(net, params, tmp_path))
     assert len(ref.conv) == {"dense-only": 0, "one-conv": 1}.get(name, 2)
     ref_params = {k: v.copy() for k, v in params.items()}
@@ -276,9 +283,10 @@ def test_workspace_training_matches_the_allocating_learner(name, tmp_path):
         ref_opt.update(ref_params, ref_grads)
         assert same_bits(params, ref_params), step
         assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v), step
-        # acting shares the workspace's first row
+        # acting shares the workspace's first row, and gives the batch's row
         q = net.forward(params, grid[0], aux[0])
         assert q.tobytes() == ref.forward(ref_params, grid[0], aux[0]).tobytes()
+        assert q.tobytes() == net.forward(params, grid, aux)[:1].tobytes()
     assert 0 < clipped < 25  # both sides of the clip were exercised
 
 

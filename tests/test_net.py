@@ -78,8 +78,9 @@ def test_forward_shapes_and_single_sample():
     grid, aux, _, _ = batch(rng, net)
     q = net.forward(params, grid, aux)
     assert q.shape == (6, 4)
-    single = net.forward(params, grid[0], aux[0])
-    np.testing.assert_allclose(single[0], q[0], rtol=1e-12)
+    # the dense products are taken row by row, so every row is a batch-1 pass
+    for i in range(6):
+        assert net.forward(params, grid[i], aux[i]).tobytes() == q[i : i + 1].tobytes()
 
 
 def test_conv_dense_gradients_match_finite_differences():
