@@ -108,7 +108,10 @@ def _band_tiling(
                     allocations.append(alloc)
                     tier_areas[tier].append(alloc.shape.area_shz(dims))
         areas.append((tuple(tier_areas[Tier.BT]), tuple(tier_areas[Tier.ET])))
-    assert validate_allocation_set(allocations, dims)
+    if not validate_allocation_set(allocations, dims):
+        raise RuntimeError(
+            f"the band split of {n_ues} users over spans {spans} overlaps or leaves the grid"
+        )
     return tuple(allocations), tuple(areas)
 
 

@@ -25,7 +25,9 @@ from struct import Struct
 import numpy as np
 
 from .baselines import AllocationPlan, equal_time_frequency_plan
-from .grid import BwpAllocation, BwpShape, Occupancy, Tier, _cells, bwp_shape
+from .grid import (
+    BwpAllocation, BwpShape, Occupancy, Tier, _cells, bwp_shape, live_cells, live_plans,
+)
 from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate, qoe_fn  # noqa: F401
@@ -102,6 +104,7 @@ _COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
 _NO_SCORES = (-math.inf, 0.0)
 
 _DOUBLE = Struct("d")  # array("d")'s native float64 layout
+_COUNT = Struct("I")  # a free-cell count: lattices hold under 2**32 cells
 
 
 class SchedulingEnv:
@@ -252,25 +255,33 @@ class SchedulingEnv:
         return reward, self.done
 
     def child_keys(self, actions: list[int]) -> list[bytes]:
-        """Exact keys over ``KEY_FIELDS`` of the children that ``step`` would
-        make from this live state by each of ``actions``, without a step.
+        """Keys over ``KEY_FIELDS`` of the children that ``step`` would make
+        from this live state by each of ``actions``, without a step; equal
+        keys mean children with equal futures.
 
         A step marks the action's stored first fit, adds its bits to the
         active user's tier and counts it; the rest of what it changes (the
         served flag, the rotation, the next active user) follows from those
         fields and the trial's constants.  So a key holds the fields just
-        after that add, with the cursor as the parent holds it, and equal
-        keys mean equal children.  The counts sum to the depth, so children
-        of different depths never share a key.  Cells count only as free or
-        occupied, the bits enter as their float64 bytes, unrounded, and the
-        flags one byte each.  Every part but the rotation, which comes last,
-        has a fixed length per trial.
+        after that add, with the cursor as the parent holds it.  The counts
+        sum to the depth, so children of different depths never share a
+        key.  Of the grid, a key holds the child's live cells
+        (``grid.live_cells``) and its free-cell count, which
+        ``_bt_hopeless`` reads.  First fits, and so the mask, read only free
+        windows, which lie inside the live cells, and a cell that is not
+        live never becomes live again: children that differ only in such
+        dead cells, or in who owns a cell, have the same future.  The bits
+        enter as their float64 bytes, unrounded, and the flags one byte
+        each.  Every part but the rotation, which comes last, has a fixed
+        length per trial.
         """
         ue = self._active
         et = self.phase == Tier.ET
         n_freq, n_time = self.occupancy.code.shape
         n_bytes = (n_freq * n_time + 7) // 8
         free = self.occupancy.free
+        n_free = free.bit_count()
+        plans = live_plans(n_freq, n_time, self.shapes)
         ints = [*self.bt_count, *self.et_count, et, ue, *self._et_rotation]
         slot = ue + et * len(self.bt_count)  # the acting user's entry in its tier
         ints[slot] += 1
@@ -289,7 +300,8 @@ class SchedulingEnv:
             t, f = self._fits[action]
             cells = _cells(n_freq, t, f, shape.freq_width_units, shape.time_len_units)
             keys.append(b"".join((
-                (free ^ cells).to_bytes(n_bytes, "little"),
+                live_cells(free ^ cells, plans).to_bytes(n_bytes, "little"),
+                _COUNT.pack(n_free - shape.area_units),
                 before,
                 _DOUBLE.pack(bits + added[action]),  # the float add step() makes
                 after,

@@ -266,6 +266,44 @@ def _fit_plan(n_freq: int, n_time: int, width: int, length: int):
     return _doubling(width, 1), starts, _doubling(length, n_freq)
 
 
+@cache
+def live_plans(n_freq: int, n_time: int, shapes: tuple[BwpShape, ...]) -> tuple:
+    """The fit plans ``live_cells`` reads: those of the shapes that fit the
+    grid and hold no other shape of ``shapes``.  A window of a larger shape
+    is covered by windows of each shape it holds, so these few suffice."""
+    sizes = {(s.freq_width_units, s.time_len_units) for s in shapes}
+    minimal = sorted(
+        (w, n) for w, n in sizes
+        if not any(v <= w and m <= n and (v, m) != (w, n) for v, m in sizes)
+    )
+    return tuple(
+        plan for w, n in minimal if (plan := _fit_plan(n_freq, n_time, w, n)) is not None
+    )
+
+
+def live_cells(free: int, plans: tuple) -> int:
+    """The cells of the free-cell int ``free`` that lie in some free window
+    of some shape, for the shapes whose ``live_plans`` are ``plans``.  Cells
+    only ever leave ``free``, so a cell outside this set stays unusable, and
+    every free window of every shape lies inside it."""
+    live = 0
+    for freq_shifts, starts, time_shifts in plans:
+        # the shape's free windows by their first cell, as in find_first_fit
+        fits = free
+        for k in freq_shifts:
+            fits &= fits >> k
+        fits &= starts
+        for k in time_shifts:
+            fits &= fits >> k
+        # then each first cell grown back into its window's cells
+        for k in time_shifts:
+            fits |= fits << k
+        for k in freq_shifts:
+            fits |= fits << k
+        live |= fits
+    return live
+
+
 class Occupancy:
     """The lattice as one array of uint8 cell codes, 0 marking a free cell.
 

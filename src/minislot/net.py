@@ -18,6 +18,7 @@ trained result does not depend on the thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -411,19 +412,29 @@ class Adam:
 _squares = np.empty(0)
 
 
+def _sum_of_squares(grads: dict[str, np.ndarray], dtype=None) -> float:
+    """(g * g).sum() over ``grads`` in kept memory: squared in ``dtype``, or
+    else in the gradients' own, widened into the float64 room and summed
+    in C order."""
+    total = 0.0
+    for g in grads.values():
+        square = _squares[: g.size].reshape(g.shape)
+        np.multiply(g, g, out=square, dtype=dtype)
+        total += float(square.sum())
+    return total
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm of ``max_norm``."""
     global _squares
     largest = max((g.size for g in grads.values()), default=0)
     if _squares.size < largest:
         _squares = np.empty(largest)
-    total = 0.0
-    for g in grads.values():
-        # (g * g).sum() in kept memory: numpy squares in the gradients'
-        # dtype and widens into the float64 room, which sums in C order
-        square = _squares[: g.size].reshape(g.shape)
-        np.multiply(g, g, out=square)
-        total += float(square.sum())
+    with np.errstate(over="ignore"):
+        total = _sum_of_squares(grads)
+    if not math.isfinite(total):
+        # a float32 square above 3.4e38 is inf; float64 squares are not
+        total = _sum_of_squares(grads, np.float64)
     total = float(np.sqrt(total))
     if total > max_norm and total > 0.0:
         scale = max_norm / total

@@ -3,23 +3,28 @@
 The oracle plays the same environment protocol as the learned policy: it
 explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
-Two sequences often reach the same state (the same occupied cells, bits,
-counts and cursor), and what can follow a state depends on nothing else.
-So the environment keys each child exactly from its parent and action
-before it is made (``SchedulingEnv.child_keys``), and only a child whose
-key is new is cloned, stepped and searched: a repeated child costs no
-clone and no step.  A node budget turns pathological instances into a
-clean error instead of an open-ended search.
+Two sequences often reach states with the same future: the same live
+cells (the free cells some shape could still use), free-cell count, bits,
+counts and cursor.  So the environment keys each child from its parent
+and action before it is made (``SchedulingEnv.child_keys``), and only a
+child whose key is new is cloned, stepped and searched: a repeated child
+costs no clone and no step.  A node whose optimistic bound on the total
+(``_Search.bound``) cannot beat the best total found so far is not
+expanded.  A node budget turns pathological instances into a clean error
+instead of an open-ended search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
+from .grid import Tier
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
+from .qoe import ue_rates, ue_scores
 from .scenario import ScenarioConfig, UeProfile
 
 
@@ -33,6 +38,9 @@ MAX_GRID_CELLS = 256
 MAX_ACTIONS = 8
 MAX_BWPS_PER_UE_TIER = 4
 NODE_BUDGET = 500_000
+
+# relative slack on the bound, far above the rounding of its few float ops
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class _Search:
     def __init__(self, env: SchedulingEnv):
         self.nodes = 0
         self.seen: set[bytes] = set()
-        self.best_qoe = -1.0
+        self.best_qoe = -math.inf
         self.best_actions: tuple[int, ...] = ()
         self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
         # actions sorted by descending area so good solutions appear early
@@ -72,6 +80,43 @@ class _Search:
             range(env.n_actions),
             key=lambda a: -env.shapes[a].area_units,
         )
+        self.largest = max(shape.area_units for shape in env.shapes)
+        self.cell_bits = [
+            env.dims.rb_size_shz * p.link.spectral_efficiency for p in env.profiles
+        ]
+        # the bound gives more bits a higher QoE, which holds only for b >= 0
+        self.prunes = all(p.qoe.b >= 0.0 for p in env.profiles)
+
+    def bound(self, env: SchedulingEnv) -> float:
+        """At least the total QoE of every terminal state below the live
+        ``env``.  Each user may still gain, in each tier it can still be
+        given, its remaining placements times the largest shape's cells, or
+        every free cell if fewer; the base tier only while the phase is BT
+        and it is unserved.  More bits never lower a QoE, so a user still
+        unserved whose base-tier QoE stays below its minimum even then adds
+        0, as does any user whose combined QoE would be negative.  Each
+        QoE's rounding is covered by a slack relative to its terms."""
+        free = env.occupancy.free_units()
+        cap = env.config.max_bwps_per_ue_tier
+        base_tier = env.phase == Tier.BT
+        frame_s = env.config.frame_duration_s
+        total = 0.0
+        for ue, profile in enumerate(env.profiles):
+            bt, et = env.bt_bits[ue], env.et_bits[ue]
+            cell_bits = self.cell_bits[ue]
+            unserved = not env.served[ue]
+            if base_tier and unserved:
+                bt += min(free, (cap - env.bt_count[ue]) * self.largest) * cell_bits
+            if bt <= 0.0:
+                continue
+            et += min(free, (cap - env.et_count[ue]) * self.largest) * cell_bits
+            qp = profile.qoe
+            q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
+            slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
+            if unserved and q_bt + slack < qp.min_qoe:
+                continue
+            total += max(q, 0.0) + slack
+        return total
 
     def run(self, env: SchedulingEnv, prefix: tuple[int, ...]) -> None:
         """Search below ``env``, which this call owns.  Every feasible child
@@ -91,6 +136,8 @@ class _Search:
                 self.best_actions = prefix
                 self.best_env = env
             return
+        if self.prunes and self.bound(env) <= self.best_qoe:
+            return  # no leaf below beats the incumbent, which moves on a strict gain
         mask = env.feasible_actions()
         actions = [a for a in self.action_order if mask[a]]
         self.nodes += len(actions)
@@ -118,7 +165,8 @@ def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) ->
     fixed, so results are deterministic.  The table does not change that
     answer: the incumbent moves only on a strict gain, and a repeated
     child's subtree holds the same leaf values as its first copy, which
-    came earlier in that order and reached them.
+    came earlier in that order and reached them.  Nor does the bound: it
+    skips only nodes with no leaf above the incumbent.
     """
     env = SchedulingEnv(config)
     _check_size(config, env.n_actions)

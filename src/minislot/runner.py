@@ -106,11 +106,12 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
     }
 
 
-def _oracle_trial(args) -> dict:
+def _oracle_trial(args) -> tuple[dict, int]:
+    """The oracle's row of one trial, and how many nodes its search took."""
     config, trial = args
     profiles = scenario_for_trial(config.scenario, trial)
     result = oracle_best_plan(config.scenario, profiles)
-    return _plan_row(trial, ORACLE, result.plan)
+    return _plan_row(trial, ORACLE, result.plan), result.nodes
 
 
 def run_eval(
@@ -124,7 +125,9 @@ def run_eval(
 ) -> list[dict]:
     """Evaluate the requested methods on the config's ``n_eval_trials``
     sampled trials, shared by every method; write nothing when a total
-    QoE is not finite."""
+    QoE is not finite or the policy placed no BWP in any trial.  With the
+    oracle, the manifest records each trial's search size as
+    ``oracle_nodes``, in trial order."""
     if not methods:
         raise ValueError("no methods to evaluate")
     unknown = set(methods) - set(ALL_METHODS)
@@ -152,11 +155,13 @@ def run_eval(
             )
     # every method but the oracle, whose workers draw their own, sees one
     # draw of each trial
+    dqn_placed = False
     if set(methods) - {ORACLE}:
         for trial in range(n_trials):
             profiles = scenario_for_trial(config.scenario, trial)
             if DQN in methods:
                 plan = greedy_rollout(env, net, params, profiles)
+                dqn_placed = dqn_placed or bool(plan.allocations)
                 rows.append(_plan_row(trial, DQN, plan))
             if EQUAL_BANDWIDTH in methods:
                 plan = equal_bandwidth_plan(config.scenario, profiles)
@@ -164,15 +169,23 @@ def run_eval(
             if EQUAL_TIME_FREQUENCY in methods:
                 plan = equal_time_frequency_plan(config.scenario, profiles)
                 rows.append(_plan_row(trial, EQUAL_TIME_FREQUENCY, plan))
+    if DQN in methods and not dqn_placed:
+        raise ValueError(
+            f"the dqn policy placed no BWP in any of the {n_trials} trials: "
+            "each episode ended at reset"
+        )
+    manifest = _manifest(config, command)
     if ORACLE in methods:
         tasks = [(config, trial) for trial in range(n_trials)]
         if jobs > 1:
             # imported here, or every run would load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows.extend(pool.map(_oracle_trial, tasks))
+                searched = list(pool.map(_oracle_trial, tasks))
         else:
-            rows.extend(_oracle_trial(t) for t in tasks)
+            searched = [_oracle_trial(t) for t in tasks]
+        rows.extend(row for row, _ in searched)
+        manifest["oracle_nodes"] = [nodes for _, nodes in searched]
 
     for row in rows:
         if not math.isfinite(total := row["total_qoe"]):
@@ -180,5 +193,5 @@ def run_eval(
     rows.sort(key=lambda r: (r["trial"], r["method"]))
     os.makedirs(out_dir, exist_ok=True)
     write_eval_csv(os.path.join(out_dir, filename), rows)
-    write_manifest(os.path.join(out_dir, "manifest.json"), _manifest(config, command))
+    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     return rows

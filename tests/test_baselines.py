@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import minislot.baselines
 from minislot.baselines import (
     AllocationPlan,
     band_rows,
@@ -281,3 +282,17 @@ def test_cached_tiling_matches_per_call_builder(case):
             ]
             assert validate_allocation_set(plan.allocations, config.dims())
 
+
+
+def test_a_tiling_that_overlaps_is_refused(monkeypatch):
+    """The tiling's own check raises, also under ``python -O``: here every
+    tile is laid down twice."""
+    real = minislot.baselines.tile_span
+    monkeypatch.setattr(minislot.baselines, "tile_span", lambda *args: real(*args) * 2)
+    config = tiny_config(n_ues=1, min_qoe=(4.1,), rng_seed=12345)
+    minislot.baselines._band_tiling.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="overlaps or leaves the grid"):
+            equal_bandwidth_plan(config, tuple(scenario_for_trial(config, 0)))
+    finally:
+        minislot.baselines._band_tiling.cache_clear()

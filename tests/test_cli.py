@@ -120,6 +120,19 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert all(",oracle," in line for line in lines[1:])
 
 
+def test_oracle_searches_when_every_total_is_negative(tmp_path, monkeypatch):
+    """Served users score -200 to -80 here, so no total exceeds -1, where
+    the search's incumbent used to start: it found no plan and crashed."""
+    monkeypatch.setenv("MINISLOT_SCENARIO__QOE_A", "-100")
+    monkeypatch.setenv("MINISLOT_SCENARIO__MIN_QOE", "[-200,-200]")
+    monkeypatch.setenv("MINISLOT_SCENARIO__PEAK_FACTOR", "0.4")
+    assert main(["oracle", "--tiny", "--trials", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "oracle.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["served_count"] == "2"
+    assert -200.0 < float(row["total_qoe"]) < -1.0
+
+
 def test_oracle_refuses_default_scale(tmp_path, capsys):
     code = main(["oracle", "--trials", "1", "--out", str(tmp_path)])
     assert code == 1
@@ -390,6 +403,19 @@ def test_train_refuses_a_run_that_took_no_step(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "none of the 3 training episodes took a step" in err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_dqn_run_that_placed_nothing(tmp_path, monkeypatch, capsys):
+    """A QoE scale of 1e308 ends every default episode at reset, so the
+    policy places nothing and each total is 0; such an eval writes nothing."""
+    monkeypatch.setenv("MINISLOT_SCENARIO__QOE_A", "1e308")
+    out = tmp_path / "out"
+    argv = ["eval", "--checkpoint", str(CHECKPOINT), "--methods", "dqn", "--trials", "3"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the dqn policy placed no BWP in any of the 3 trials" in err
     assert not out.exists()
 
 

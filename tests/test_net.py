@@ -124,6 +124,16 @@ def test_clip_global_norm():
     np.testing.assert_allclose(small["a"], [0.3])  # untouched below the ceiling
 
 
+def test_clip_global_norm_survives_float32_square_overflow():
+    # 1e20 squared is inf in float32: the norm is taken in float64 instead,
+    # and the clip scales the gradients down rather than to zero
+    grads = {"w": np.float32([1e20, 1.0]), "b": np.float32([-1e20])}
+    norm = clip_global_norm(grads, 10.0)
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e20, rel=1e-6)
+    np.testing.assert_allclose(grads["w"], [10.0 / np.sqrt(2.0), 0.0], rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(grads["b"], [-10.0 / np.sqrt(2.0)], rtol=1e-6)
+
+
 def test_adam_first_step_magnitude_is_learning_rate():
     # bias-corrected first step is lr * g / (|g| + eps), i.e. ~lr in magnitude
     opt = Adam(learning_rate=0.01)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -118,6 +119,17 @@ def test_parallel_oracle_matches_serial(tmp_path):
     a = (tmp_path / "serial" / "eval.csv").read_bytes()
     b = (tmp_path / "parallel" / "eval.csv").read_bytes()
     assert a == b
+    # each trial's search size, in trial order, whichever worker ran it
+    nodes = [
+        json.loads((tmp_path / side / "manifest.json").read_text())["oracle_nodes"]
+        for side in ("serial", "parallel")
+    ]
+    scenario = config.scenario
+    expected = [
+        oracle_best_plan(scenario, tuple(scenario_for_trial(scenario, trial))).nodes
+        for trial in range(2)
+    ]
+    assert nodes == [expected, expected]
 
 
 def test_stillborn_grid_yields_empty_plan():

@@ -21,6 +21,8 @@ from minislot.grid import (
     Occupancy,
     Tier,
     allocations_overlap,
+    live_cells,
+    live_plans,
     validate_allocation_set,
 )
 from minislot.qoe import evaluate_ue, ue_rates, ue_scores
@@ -165,6 +167,29 @@ def test_first_fit_matches_brute_force(code, fw, tl):
     while (pos := occ.find_first_fit(shape)) is not None:
         occ.mark(*pos, shape, 7)
         assert occ.find_first_fit(shape) == brute_force_first_fit(occ.code, fw, tl)
+
+
+@SETTINGS
+@given(
+    code=arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 6), st.integers(1, 12)),
+        elements=st.sampled_from([0, 0, 0, 1]),
+    ),
+    sizes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 8)), min_size=1, max_size=5),
+)
+def test_live_cells_are_the_cells_of_free_windows(code, sizes):
+    """Every shape's windows counted, not only those ``live_plans`` keeps."""
+    n_freq, n_time = code.shape
+    windows = np.zeros(code.shape, dtype=bool)
+    for fw, tl in sizes:
+        for t in range(n_time - tl + 1):
+            for f in range(n_freq - fw + 1):
+                if not code[f : f + fw, t : t + tl].any():
+                    windows[f : f + fw, t : t + tl] = True
+    shapes = tuple(BwpShape(mu=0, eta=1, time_len_units=tl, freq_width_units=fw) for fw, tl in sizes)
+    live = live_cells(free_int_of(code), live_plans(n_freq, n_time, shapes))
+    assert live == free_int_of(np.where(windows, 0, 1))
 
 
 def free_int_of(code: np.ndarray) -> int:
