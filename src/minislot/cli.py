@@ -121,8 +121,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        if args.command == "train" and config.train.episodes < 1:
-            raise ValueError(f"training needs at least 1 episode, got {config.train.episodes}")
         if args.command == "eval":
             methods = tuple(m for m in args.methods.split(",") if m)
             if not methods:

@@ -65,6 +65,11 @@ def serving_order(qoe_values: list[float]) -> list[int]:
     return [i for _, i in sorted(keyed)]
 
 
+# a cell's uint8 code is 0 when free, else 1 + 2u for user u's base tier
+# and 2 + 2u for its enhancement tier, so at most 127 users fit in 255
+MAX_CODED_UES = 127
+
+
 def expand_cells(
     cell_code: np.ndarray, n_ues: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -103,6 +108,9 @@ _COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
 # first allocation on
 _NO_SCORES = (-math.inf, 0.0)
 
+# relative slack on total_bound, far above the rounding of its few float ops
+BOUND_SLACK = 1e-9
+
 _DOUBLE = Struct("d")  # array("d")'s native float64 layout
 _COUNT = Struct("I")  # a free-cell count: lattices hold under 2**32 cells
 
@@ -129,6 +137,8 @@ class SchedulingEnv:
             raise ValueError(
                 f"reward max_steps must be at least 1, got {self.reward_params.max_steps}"
             )
+        if config.n_ues > MAX_CODED_UES:
+            raise ValueError(f"n_ues {config.n_ues} exceeds {MAX_CODED_UES}, the cell codes' limit")
         self.dims = config.dims()
         self.action_set: tuple[tuple[int, int], ...] = tuple(
             (mu, eta) for mu in config.numerology_set for eta in config.minislot_set
@@ -137,6 +147,7 @@ class SchedulingEnv:
             bwp_shape(mu, eta, config.grid) for mu, eta in self.action_set
         )
         self.n_actions = len(self.action_set)
+        self._largest_area = max(shape.area_units for shape in self.shapes)
         self.aux_dim = 5 * config.n_ues + 2
         self.profiles: list[UeProfile] = []
         self.done = True
@@ -377,6 +388,41 @@ class SchedulingEnv:
                     continue
             mask[i] = feasible = True
         return mask, fits, placeable, feasible
+
+    def total_bound(self) -> float:
+        """At least the total QoE of every terminal state below this live
+        state.  Each user gains, per tier it can still be given (the base tier
+        only while unserved in phase BT), its remaining placements times the
+        largest shape's cells, or every free cell if fewer.  It adds 0 if it
+        stays unserved below its minimum even then, never less than 0, and a
+        slack for rounding.  That needs more bits never to lower a QoE, so
+        with a slope ``b`` below 0, or no cap on placements, this is inf."""
+        cap = self.config.max_bwps_per_ue_tier
+        if cap is None:
+            return math.inf
+        free = self.occupancy.free_units()
+        largest = self._largest_area
+        base_tier = self.phase == Tier.BT
+        frame_s = self.config.frame_duration_s
+        total = 0.0
+        for ue, profile in enumerate(self.profiles):
+            qp = profile.qoe
+            if qp.b < 0.0:
+                return math.inf
+            bt, et = self.bt_bits[ue], self.et_bits[ue]
+            cell_bits = self.dims.rb_size_shz * profile.link.spectral_efficiency
+            unserved = not self.served[ue]
+            if base_tier and unserved:
+                bt += min(free, (cap - self.bt_count[ue]) * largest) * cell_bits
+            if bt <= 0.0:
+                continue
+            et += min(free, (cap - self.et_count[ue]) * largest) * cell_bits
+            q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
+            slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
+            if unserved and q_bt + slack < qp.min_qoe:
+                continue
+            total += max(q, 0.0) + slack
+        return total
 
     def _bt_hopeless(self, ue: int) -> bool:
         """Optimistic bound: could this user reach its minimum QoE given every

@@ -281,21 +281,29 @@ def live_plans(n_freq: int, n_time: int, shapes: tuple[BwpShape, ...]) -> tuple:
     )
 
 
+def _window_starts(free: int, plan: tuple) -> int:
+    """The first cells of the free windows in ``free`` of the shape whose
+    ``_fit_plan`` is ``plan``: each AND with ``fits >> k`` keeps bit i where i + k is set."""
+    freq_shifts, starts, time_shifts = plan
+    fits = free
+    for k in freq_shifts:
+        fits &= fits >> k
+    fits &= starts
+    for k in time_shifts:
+        fits &= fits >> k
+    return fits
+
+
 def live_cells(free: int, plans: tuple) -> int:
     """The cells of the free-cell int ``free`` that lie in some free window
     of some shape, for the shapes whose ``live_plans`` are ``plans``.  Cells
     only ever leave ``free``, so a cell outside this set stays unusable, and
     every free window of every shape lies inside it."""
     live = 0
-    for freq_shifts, starts, time_shifts in plans:
-        # the shape's free windows by their first cell, as in find_first_fit
-        fits = free
-        for k in freq_shifts:
-            fits &= fits >> k
-        fits &= starts
-        for k in time_shifts:
-            fits &= fits >> k
-        # then each first cell grown back into its window's cells
+    for plan in plans:
+        fits = _window_starts(free, plan)
+        # each first cell grown back into its window's cells
+        freq_shifts, _, time_shifts = plan
         for k in time_shifts:
             fits |= fits << k
         for k in freq_shifts:
@@ -334,18 +342,9 @@ class Occupancy:
         minimum frequency offset.  Returns (time_offset, freq_offset)."""
         n_freq, n_time = self.code.shape
         plan = _fit_plan(n_freq, n_time, shape.freq_width_units, shape.time_len_units)
-        if plan is None:
-            return None
-        # bit order is time order, then frequency order, so the lowest bit
-        # left set below is the first fit.  ANDing with a copy shifted right
-        # by k keeps bit i only where cell i + k is free as well.
-        fits = self.free
-        freq_shifts, starts, time_shifts = plan
-        for k in freq_shifts:
-            fits &= fits >> k
-        fits &= starts
-        for k in time_shifts:
-            fits &= fits >> k
+        # bit order is time order, then frequency order, so the lowest
+        # window start is the first fit
+        fits = _window_starts(self.free, plan) if plan else 0
         if not fits:
             return None
         return divmod((fits & -fits).bit_length() - 1, n_freq)

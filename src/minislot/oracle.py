@@ -9,9 +9,12 @@ counts and cursor.  So the environment keys each child from its parent
 and action before it is made (``SchedulingEnv.child_keys``), and only a
 child whose key is new is cloned, stepped and searched: a repeated child
 costs no clone and no step.  A node whose optimistic bound on the total
-(``_Search.bound``) cannot beat the best total found so far is not
-expanded.  A node budget turns pathological instances into a clean error
-instead of an open-ended search.
+(``SchedulingEnv.total_bound``) cannot beat the best total found so far is
+not expanded.  The search reads the environment only through these calls
+and ``feasible_actions``, ``clone``, ``step``, ``done``, ``total_qoe`` and
+``plan``; the best leaf's plan, whose allocations name each placed shape,
+is its answer.  A node budget turns pathological instances into a clean
+error instead of an open-ended search.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from dataclasses import dataclass
 
 from .baselines import AllocationPlan
 from .env import SchedulingEnv
-from .grid import Tier
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
-from .qoe import ue_rates, ue_scores
 from .scenario import ScenarioConfig, UeProfile
 
 
@@ -39,14 +40,10 @@ MAX_ACTIONS = 8
 MAX_BWPS_PER_UE_TIER = 4
 NODE_BUDGET = 500_000
 
-# relative slack on the bound, far above the rounding of its few float ops
-BOUND_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class OracleResult:
     plan: AllocationPlan
-    actions: tuple[int, ...]
     # every expanded child, repeated states included; the node budget thus
     # bounds both the work and the size of the table of seen states
     nodes: int
@@ -73,52 +70,14 @@ class _Search:
         self.nodes = 0
         self.seen: set[bytes] = set()
         self.best_qoe = -math.inf
-        self.best_actions: tuple[int, ...] = ()
         self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
         # actions sorted by descending area so good solutions appear early
         self.action_order = sorted(
             range(env.n_actions),
             key=lambda a: -env.shapes[a].area_units,
         )
-        self.largest = max(shape.area_units for shape in env.shapes)
-        self.cell_bits = [
-            env.dims.rb_size_shz * p.link.spectral_efficiency for p in env.profiles
-        ]
-        # the bound gives more bits a higher QoE, which holds only for b >= 0
-        self.prunes = all(p.qoe.b >= 0.0 for p in env.profiles)
 
-    def bound(self, env: SchedulingEnv) -> float:
-        """At least the total QoE of every terminal state below the live
-        ``env``.  Each user may still gain, in each tier it can still be
-        given, its remaining placements times the largest shape's cells, or
-        every free cell if fewer; the base tier only while the phase is BT
-        and it is unserved.  More bits never lower a QoE, so a user still
-        unserved whose base-tier QoE stays below its minimum even then adds
-        0, as does any user whose combined QoE would be negative.  Each
-        QoE's rounding is covered by a slack relative to its terms."""
-        free = env.occupancy.free_units()
-        cap = env.config.max_bwps_per_ue_tier
-        base_tier = env.phase == Tier.BT
-        frame_s = env.config.frame_duration_s
-        total = 0.0
-        for ue, profile in enumerate(env.profiles):
-            bt, et = env.bt_bits[ue], env.et_bits[ue]
-            cell_bits = self.cell_bits[ue]
-            unserved = not env.served[ue]
-            if base_tier and unserved:
-                bt += min(free, (cap - env.bt_count[ue]) * self.largest) * cell_bits
-            if bt <= 0.0:
-                continue
-            et += min(free, (cap - env.et_count[ue]) * self.largest) * cell_bits
-            qp = profile.qoe
-            q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
-            slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
-            if unserved and q_bt + slack < qp.min_qoe:
-                continue
-            total += max(q, 0.0) + slack
-        return total
-
-    def run(self, env: SchedulingEnv, prefix: tuple[int, ...]) -> None:
+    def run(self, env: SchedulingEnv) -> None:
         """Search below ``env``, which this call owns.  Every feasible child
         is keyed first; only those with an unseen key are made, each by a
         clone of ``env`` but the last, which is ``env`` itself stepped in
@@ -133,10 +92,9 @@ class _Search:
             qoe = env.total_qoe()
             if qoe > self.best_qoe:
                 self.best_qoe = qoe
-                self.best_actions = prefix
                 self.best_env = env
             return
-        if self.prunes and self.bound(env) <= self.best_qoe:
+        if env.total_bound() <= self.best_qoe:
             return  # no leaf below beats the incumbent, which moves on a strict gain
         mask = env.feasible_actions()
         actions = [a for a in self.action_order if mask[a]]
@@ -153,7 +111,7 @@ class _Search:
         for i, action in enumerate(fresh):
             child = env if i == last else env.clone()
             child.step(action)
-            self.run(child, prefix + (action,))
+            self.run(child)
 
 
 def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) -> OracleResult:
@@ -172,9 +130,5 @@ def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) ->
     _check_size(config, env.n_actions)
     env.reset(profiles)
     search = _Search(env)
-    search.run(env.clone(), ())
-    return OracleResult(
-        plan=search.best_env.plan(),
-        actions=search.best_actions,
-        nodes=search.nodes,
-    )
+    search.run(env)
+    return OracleResult(plan=search.best_env.plan(), nodes=search.nodes)

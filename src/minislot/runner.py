@@ -66,9 +66,11 @@ def run_train(
     command: str = "train",
     on_episode=None,
 ) -> tuple[TrainResult, str]:
-    """Train one policy; write training.csv, checkpoint.npz, manifest.json,
-    or nothing when no episode took a step or a trained parameter is not
-    finite."""
+    """Train one policy for at least one episode; write training.csv,
+    checkpoint.npz, manifest.json, or nothing when no episode took a step
+    or a trained parameter is not finite."""
+    if config.train.episodes < 1:
+        raise ValueError(f"training needs at least 1 episode, got {config.train.episodes}")
     env = build_env(config)
     result = train(env, config.train, on_episode=on_episode)
     if not any(m.steps for m in result.metrics):

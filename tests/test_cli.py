@@ -539,6 +539,12 @@ def test_train_refuses_a_non_finite_policy(rate, tmp_path, monkeypatch, capsys):
             {"MINISLOT_SCENARIO__QOE_A": "1e308"},
             "trial 0 equal_bandwidth total QoE is inf",
         ),
+        # user 127's enhancement cells would be painted code 256
+        (
+            ["train", "--tiny", "--episodes", "1", "--quiet"],
+            {"MINISLOT_SCENARIO__N_UES": "128", "MINISLOT_SCENARIO__MIN_QOE": str([1.0] * 128)},
+            "n_ues 128 exceeds 127",
+        ),
     ],
 )
 def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, monkeypatch, capsys):

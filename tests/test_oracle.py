@@ -6,7 +6,8 @@ import pytest
 import minislot.oracle
 from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
-from minislot.grid import GridSpec
+from minislot.env import SchedulingEnv
+from minislot.grid import GridSpec, Tier
 from minislot.oracle import SearchSizeError, oracle_best_plan
 from minislot.runner import ORACLE, run_eval
 from minislot.scenario import default_config, scenario_for_trial, tiny_config
@@ -69,7 +70,6 @@ def test_oracle_is_deterministic():
     profiles = tuple(scenario_for_trial(config, 4))
     a = oracle_best_plan(config, profiles)
     b = oracle_best_plan(config, profiles)
-    assert a.actions == b.actions
     assert a.plan == b.plan
     assert a.nodes == b.nodes
 
@@ -105,7 +105,11 @@ def test_forced_path_is_found_exactly():
     config = single_user_corridor()
     profiles = tuple(scenario_for_trial(config, 0))
     result = oracle_best_plan(config, profiles)
-    assert result.actions == (0, 0)  # one base placement, one enhancement
+    # one base placement, one enhancement, each of the only shape
+    (shape,) = SchedulingEnv(config).shapes
+    assert [(a.shape, a.tier) for a in result.plan.allocations] == [
+        (shape, Tier.BT), (shape, Tier.ET),
+    ]
     assert served(result) == [True]
     assert result.nodes == 2
     assert result.plan.total_qoe > 0.0
@@ -141,7 +145,6 @@ def test_stillborn_grid_yields_empty_plan():
     )
     profiles = tuple(scenario_for_trial(config, 0))
     result = oracle_best_plan(config, profiles)
-    assert result.actions == ()
     assert served(result) == [False, False]
     assert result.plan.total_qoe == 0.0
     assert result.plan.allocations == ()

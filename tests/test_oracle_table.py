@@ -1,20 +1,24 @@
 """The oracle's table of seen states and its bound: the key it computes
 for a child before making it covers every part of the environment that
 decides what can follow, equal keys step to states with equal futures, the
-bound is at least every total below its state, and the search they shorten
-still returns what plain enumeration returns."""
+bound is at least every total below its state, the search they shorten
+still returns what plain enumeration returns, and it reads the environment
+only through its protocol."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minislot.oracle
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier, live_cells, live_plans
-from minislot.oracle import _Search, oracle_best_plan
+from minislot.oracle import oracle_best_plan
 from minislot.scenario import scenario_for_trial, tiny_config
 
 KEY_FIELDS = SchedulingEnv.KEY_FIELDS
@@ -23,7 +27,7 @@ KEY_FIELDS = SchedulingEnv.KEY_FIELDS
 NOT_KEYED = {
     # fixed per config
     "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
-    "aux_dim",
+    "aux_dim", "_largest_area",
     # fixed per trial: the scenario, the serving order and the bits each
     # action adds for each user
     "profiles", "order", "_added_bits",
@@ -186,13 +190,12 @@ def check_oracle_matches_plain_enumeration(config, trial):
     env.reset(profiles=profiles)
     total, actions = plain_best(env)
     result = oracle_best_plan(config, profiles)
-    assert result.actions == actions
     assert result.plan.total_qoe == total
-    # the plan read off the search's leaf is the plan of its actions
-    # replayed on a fresh environment
+    # the plan read off the search's leaf is the plan of the enumeration's
+    # actions replayed on a fresh environment
     replay = SchedulingEnv(config)
     replay.reset(profiles=profiles)
-    for action in result.actions:
+    for action in actions:
         replay.step(action)
     assert result.plan == replay.plan()
     return total
@@ -232,7 +235,6 @@ def bound_states(config, trial):
     """(bound, best total below) of every live state of plain enumeration."""
     env = SchedulingEnv(config)
     env.reset(profiles=tuple(scenario_for_trial(config, trial)))
-    search = _Search(env)
     pairs = []
 
     def best_below(node):
@@ -244,7 +246,7 @@ def bound_states(config, trial):
             child = node.clone()
             child.step(int(action))
             best = max(best, best_below(child))
-        pairs.append((search.bound(node), best))
+        pairs.append((node.total_bound(), best))
         return best
 
     best_below(env)
@@ -339,3 +341,24 @@ def test_repeated_child_keys_occur_and_step_alike():
 @given(config=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
 def test_equal_child_keys_step_to_equal_states(config, trial):
     check_equal_keys_step_alike(config, trial)
+
+
+# what the oracle may read of an environment: the episode protocol, the
+# search's calls, and the action count and shapes it orders the actions by
+ENV_PROTOCOL = {
+    "reset", "feasible_actions", "step", "done", "total_qoe", "plan",
+    "child_keys", "total_bound", "clone", "n_actions", "shapes",
+}
+
+
+def test_oracle_reads_only_the_env_protocol():
+    tree = ast.parse(Path(minislot.oracle.__file__).read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("env", "child")
+    }
+    assert read <= ENV_PROTOCOL, sorted(read - ENV_PROTOCOL)
+    assert {"child_keys", "total_bound", "step"} <= read  # the walk saw the search

@@ -1,5 +1,7 @@
-"""The library's evaluation entry point: it refuses empty work before it
-writes anything, and draws each trial once for every method it runs."""
+"""The library's entry points: each refuses empty work before it writes
+anything, and evaluation draws each trial once for every method it runs."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from minislot.runner import (
     _plan_row,
     build_env,
     run_eval,
+    run_train,
 )
 from minislot.scenario import scenario_for_trial
 
@@ -37,6 +40,17 @@ def test_run_eval_refuses_empty_work(config, kwargs, message, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=message):
         run_eval(tiny_experiment(**config), str(out), **kwargs)
+    assert not out.exists()
+
+
+def test_run_train_refuses_zero_episodes(tmp_path):
+    """The library call gives the CLI's message, not the one for a run
+    whose every episode ended at reset."""
+    config = tiny_experiment()
+    config = replace(config, train=replace(config.train, episodes=0))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^training needs at least 1 episode, got 0$"):
+        run_train(config, str(out))
     assert not out.exists()
 
 
