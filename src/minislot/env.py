@@ -123,7 +123,7 @@ class SchedulingEnv:
     # of the past (tests/test_oracle_table.py checks the split).
     KEY_FIELDS = (
         "occupancy", "bt_bits", "et_bits", "bt_count", "et_count", "served",
-        "bt_excluded", "phase", "_et_rotation", "_active",
+        "phase", "_et_rotation", "_active",
     )
 
     def __init__(
@@ -148,6 +148,10 @@ class SchedulingEnv:
         )
         self.n_actions = len(self.action_set)
         self._largest_area = max(shape.area_units for shape in self.shapes)
+        self._frame_s = config.frame_duration_s
+        self._live_plans = live_plans(
+            self.dims.n_freq_units, self.dims.n_time_units, self.shapes
+        )
         self.aux_dim = 5 * config.n_ues + 2
         self.profiles: list[UeProfile] = []
         self.done = True
@@ -178,6 +182,10 @@ class SchedulingEnv:
         self._added_bits = tuple(
             tuple(shape.area_shz(self.dims) * p.link.spectral_efficiency for shape in self.shapes)
             for p in profiles
+        )
+        # the bits per frame one cell gives each user, for the bound
+        self._cell_bits = tuple(
+            self.dims.rb_size_shz * p.link.spectral_efficiency for p in profiles
         )
         self.allocations: list[BwpAllocation] = []
         self.step_count = 0
@@ -237,9 +245,7 @@ class SchedulingEnv:
             self.et_count[ue] += 1
         qp = self.profiles[ue].qoe
         if self.bt_bits[ue] > 0.0:
-            rates = ue_rates(
-                self.bt_bits[ue], self.et_bits[ue], self.config.frame_duration_s, qp
-            )
+            rates = ue_rates(self.bt_bits[ue], self.et_bits[ue], self._frame_s, qp)
             self._scores[ue] = ue_scores(*rates, qp)
         q_bt, q_combined = self._scores[ue]
         delta = q_combined - q_before
@@ -282,9 +288,9 @@ class SchedulingEnv:
         windows, which lie inside the live cells, and a cell that is not
         live never becomes live again: children that differ only in such
         dead cells, or in who owns a cell, have the same future.  The bits
-        enter as their float64 bytes, unrounded, and the flags one byte
-        each.  Every part but the rotation, which comes last, has a fixed
-        length per trial.
+        enter as their float64 bytes, unrounded, and the serving flags one
+        byte each.  Every part but the rotation, which comes last, has a
+        fixed length per trial.
         """
         ue = self._active
         et = self.phase == Tier.ET
@@ -292,13 +298,13 @@ class SchedulingEnv:
         n_bytes = (n_freq * n_time + 7) // 8
         free = self.occupancy.free
         n_free = free.bit_count()
-        plans = live_plans(n_freq, n_time, self.shapes)
+        plans = self._live_plans
         ints = [*self.bt_count, *self.et_count, et, ue, *self._et_rotation]
         slot = ue + et * len(self.bt_count)  # the acting user's entry in its tier
         ints[slot] += 1
         shared = b"".join((
             array("d", self.bt_bits + self.et_bits).tobytes(),
-            bytes(self.served + self.bt_excluded),
+            bytes(self.served),
             array("q", ints).tobytes(),
         ))
         # each child's own bits for the acting user go in the gap
@@ -383,7 +389,7 @@ class SchedulingEnv:
             placeable = True
             if tier == Tier.BT:
                 bits = self.bt_bits[ue] + added_bits[i]
-                q_after = base_tier_qoe(bits, self.config.frame_duration_s, qp)
+                q_after = base_tier_qoe(bits, self._frame_s, qp)
                 if q_after > qp.peak_qoe:
                     continue
             mask[i] = feasible = True
@@ -397,26 +403,76 @@ class SchedulingEnv:
         stays unserved below its minimum even then, never less than 0, and a
         slack for rounding.  That needs more bits never to lower a QoE, so
         with a slope ``b`` below 0, or no cap on placements, this is inf."""
+        return self._bound(
+            self.occupancy.free_units(),
+            self.bt_bits, self.et_bits, self.bt_count, self.et_count, self.served,
+        )
+
+    def child_bounds(self, actions: list[int]) -> list[float]:
+        """The ``total_bound()`` of the child that ``step`` would make from
+        this live state by each of ``actions``, without a clone or a step.
+
+        It reads the fields ``child_keys`` reads, just after the step's add:
+        the acting user's bits with the action's bits added (the same float
+        add), its count plus one, the free count less the shape's cells and,
+        in the base tier, its served flag from the base-tier QoE test
+        ``step`` applies.  The phase is the parent's: a step leaves the base
+        tier only once every user is served, and then the bound reads no
+        phase.  So a child that stays live has this bound bit for bit, and a
+        terminal child, whose fields are the same, a total no higher.
+        """
+        ue = self._active
+        et = self.phase == Tier.ET
+        bt_bits, et_bits = self.bt_bits.copy(), self.et_bits.copy()
+        bt_count, et_count = self.bt_count.copy(), self.et_count.copy()
+        served = self.served.copy()
+        (et_count if et else bt_count)[ue] += 1
+        tier_bits = et_bits if et else bt_bits
+        bits = tier_bits[ue]
+        added = self._added_bits[ue]
+        qp = self.profiles[ue].qoe
+        free = self.occupancy.free_units()
+        # these fields depend on the action only through its shape's area,
+        # which fixes the bits it adds too, so equal areas share a bound
+        by_area: dict[int, float] = {}
+        for action in actions:
+            area = self.shapes[action].area_units
+            if area in by_area:
+                continue
+            tier_bits[ue] = child_bits = bits + added[action]  # the float add step() makes
+            if not et:
+                # the base tier's active user is unserved until this test
+                served[ue] = (
+                    child_bits > 0.0
+                    and base_tier_qoe(child_bits, self._frame_s, qp) >= qp.min_qoe
+                )
+            by_area[area] = self._bound(
+                free - area, bt_bits, et_bits, bt_count, et_count, served
+            )
+        return [by_area[self.shapes[action].area_units] for action in actions]
+
+    def _bound(self, free: int, bt_bits, et_bits, bt_count, et_count, served) -> float:
+        """``total_bound()`` of a state of this trial and phase with these
+        free-cell count, bits, counts and serving flags."""
         cap = self.config.max_bwps_per_ue_tier
         if cap is None:
             return math.inf
-        free = self.occupancy.free_units()
         largest = self._largest_area
         base_tier = self.phase == Tier.BT
-        frame_s = self.config.frame_duration_s
+        frame_s = self._frame_s
         total = 0.0
         for ue, profile in enumerate(self.profiles):
             qp = profile.qoe
             if qp.b < 0.0:
                 return math.inf
-            bt, et = self.bt_bits[ue], self.et_bits[ue]
-            cell_bits = self.dims.rb_size_shz * profile.link.spectral_efficiency
-            unserved = not self.served[ue]
+            bt, et = bt_bits[ue], et_bits[ue]
+            cell_bits = self._cell_bits[ue]
+            unserved = not served[ue]
             if base_tier and unserved:
-                bt += min(free, (cap - self.bt_count[ue]) * largest) * cell_bits
+                bt += min(free, (cap - bt_count[ue]) * largest) * cell_bits
             if bt <= 0.0:
                 continue
-            et += min(free, (cap - self.et_count[ue]) * largest) * cell_bits
+            et += min(free, (cap - et_count[ue]) * largest) * cell_bits
             q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
             slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
             if unserved and q_bt + slack < qp.min_qoe:
@@ -435,7 +491,7 @@ class SchedulingEnv:
         )
         return (
             potential <= 0.0
-            or base_tier_qoe(potential, self.config.frame_duration_s, profile.qoe)
+            or base_tier_qoe(potential, self._frame_s, profile.qoe)
             < profile.qoe.min_qoe
         )
 
@@ -472,7 +528,7 @@ class SchedulingEnv:
             evaluate_ue(
                 self.bt_bits[ue],
                 self.et_bits[ue],
-                self.config.frame_duration_s,
+                self._frame_s,
                 self.profiles[ue].qoe,
             )
             for ue in range(self.config.n_ues)

@@ -7,14 +7,17 @@ Two sequences often reach states with the same future: the same live
 cells (the free cells some shape could still use), free-cell count, bits,
 counts and cursor.  So the environment keys each child from its parent
 and action before it is made (``SchedulingEnv.child_keys``), and only a
-child whose key is new is cloned, stepped and searched: a repeated child
-costs no clone and no step.  A node whose optimistic bound on the total
-(``SchedulingEnv.total_bound``) cannot beat the best total found so far is
-not expanded.  The search reads the environment only through these calls
-and ``feasible_actions``, ``clone``, ``step``, ``done``, ``total_qoe`` and
-``plan``; the best leaf's plan, whose allocations name each placed shape,
-is its answer.  A node budget turns pathological instances into a clean
-error instead of an open-ended search.
+child whose key is new can be cloned, stepped and searched: a repeated
+child costs no clone and no step.  The environment also bounds each new
+child's total from its parent before it is made
+(``SchedulingEnv.child_bounds``), and a child whose optimistic bound cannot
+beat the best total found so far is not made either.  The search reads the
+environment only through these calls and ``feasible_actions``, ``clone``,
+``step``, ``done``, ``total_qoe`` and ``plan``; the best leaf's plan, whose
+allocations name each placed shape, is its answer.  It searches the
+episode the policy plays, reward parameters and their step limit included.
+A node budget turns pathological instances into a clean error instead of
+an open-ended search.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .baselines import AllocationPlan
-from .env import SchedulingEnv
+from .env import RewardParams, SchedulingEnv
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate  # noqa: F401
 from .scenario import ScenarioConfig, UeProfile
@@ -47,6 +50,10 @@ class OracleResult:
     # every expanded child, repeated states included; the node budget thus
     # bounds both the work and the size of the table of seen states
     nodes: int
+    # the children skipped unmade: by a key seen before, and by a bound at
+    # or below the incumbent; the rest of ``nodes`` were made
+    repeats: int
+    prunes: int
 
 
 def _check_size(config: ScenarioConfig, n_actions: int) -> None:
@@ -67,7 +74,7 @@ def _check_size(config: ScenarioConfig, n_actions: int) -> None:
 
 class _Search:
     def __init__(self, env: SchedulingEnv):
-        self.nodes = 0
+        self.nodes = self.repeats = self.prunes = 0
         self.seen: set[bytes] = set()
         self.best_qoe = -math.inf
         self.best_env: SchedulingEnv | None = None  # the incumbent's leaf
@@ -79,23 +86,25 @@ class _Search:
 
     def run(self, env: SchedulingEnv) -> None:
         """Search below ``env``, which this call owns.  Every feasible child
-        is keyed first; only those with an unseen key are made, each by a
-        clone of ``env`` but the last, which is ``env`` itself stepped in
-        place.  A done env is never stepped again, so the incumbent's leaf
-        stays as it was found.
+        is keyed first, then each with an unseen key is bounded; a child is
+        made only if its bound still beats the incumbent when its turn
+        comes, by a clone of ``env`` unless no later sibling can be made,
+        in which case by stepping ``env`` itself.  A done env is never
+        stepped again, so the incumbent's leaf stays as it was found.
 
         All siblings' keys enter the table before any sibling is searched.
         That blocks nothing the search would otherwise reach: a key only
         matches a state of its own depth, and below an earlier sibling the
-        only state of that depth is the sibling itself."""
+        only state of that depth is the sibling itself.  Skipping a child by
+        its bound skips no better leaf: below a live child there is none,
+        and a terminal child's own total is at most its bound, while the
+        incumbent moves only on a strict gain."""
         if env.done:
             qoe = env.total_qoe()
             if qoe > self.best_qoe:
                 self.best_qoe = qoe
                 self.best_env = env
             return
-        if env.total_bound() <= self.best_qoe:
-            return  # no leaf below beats the incumbent, which moves on a strict gain
         mask = env.feasible_actions()
         actions = [a for a in self.action_order if mask[a]]
         self.nodes += len(actions)
@@ -107,15 +116,28 @@ class _Search:
             if key not in seen:
                 seen.add(key)
                 fresh.append(action)
-        last = len(fresh) - 1
+        self.repeats += len(actions) - len(fresh)
+        bounds = env.child_bounds(fresh)
         for i, action in enumerate(fresh):
-            child = env if i == last else env.clone()
+            if bounds[i] <= self.best_qoe:
+                self.prunes += 1
+                continue
+            # the incumbent only rises, so a later sibling bounded at or
+            # below it now is never made, and ``env`` is not needed again
+            last = all(bound <= self.best_qoe for bound in bounds[i + 1 :])
+            child = env if last else env.clone()
             child.step(action)
             self.run(child)
 
 
-def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) -> OracleResult:
-    """Best total QoE reachable through the environment protocol.
+def oracle_best_plan(
+    config: ScenarioConfig,
+    profiles: tuple[UeProfile, ...],
+    reward: RewardParams | None = None,
+) -> OracleResult:
+    """Best total QoE reachable through the environment protocol, in the
+    episodes of an environment with ``reward``'s parameters (by default
+    ``RewardParams()``), whose step limit ends them as in training.
 
     A child whose key was seen before, leaf or not, is neither made nor
     searched again.  Ties between action sequences with equal QoE resolve
@@ -124,11 +146,16 @@ def oracle_best_plan(config: ScenarioConfig, profiles: tuple[UeProfile, ...]) ->
     answer: the incumbent moves only on a strict gain, and a repeated
     child's subtree holds the same leaf values as its first copy, which
     came earlier in that order and reached them.  Nor does the bound: it
-    skips only nodes with no leaf above the incumbent.
+    skips only children with no leaf above the incumbent.
     """
-    env = SchedulingEnv(config)
+    env = SchedulingEnv(config, reward)
     _check_size(config, env.n_actions)
     env.reset(profiles)
     search = _Search(env)
     search.run(env)
-    return OracleResult(plan=search.best_env.plan(), nodes=search.nodes)
+    return OracleResult(
+        plan=search.best_env.plan(),
+        nodes=search.nodes,
+        repeats=search.repeats,
+        prunes=search.prunes,
+    )

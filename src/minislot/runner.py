@@ -19,7 +19,7 @@ from .agent import TrainResult, greedy_rollout, load_checkpoint, save_checkpoint
 from .baselines import AllocationPlan, equal_bandwidth_plan, equal_time_frequency_plan
 from .config import ExperimentConfig, to_dict
 from .env import SchedulingEnv
-from .oracle import oracle_best_plan
+from .oracle import OracleResult, oracle_best_plan
 from .outputs import write_eval_csv, write_manifest, write_training_csv
 from .scenario import scenario_for_trial
 
@@ -108,12 +108,11 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
     }
 
 
-def _oracle_trial(args) -> tuple[dict, int]:
-    """The oracle's row of one trial, and how many nodes its search took."""
+def _oracle_trial(args) -> OracleResult:
+    """The oracle's search of one trial, in the episodes the policy plays."""
     config, trial = args
     profiles = scenario_for_trial(config.scenario, trial)
-    result = oracle_best_plan(config.scenario, profiles)
-    return _plan_row(trial, ORACLE, result.plan), result.nodes
+    return oracle_best_plan(config.scenario, profiles, config.reward)
 
 
 def run_eval(
@@ -129,7 +128,8 @@ def run_eval(
     sampled trials, shared by every method; write nothing when a total
     QoE is not finite or the policy placed no BWP in any trial.  With the
     oracle, the manifest records each trial's search size as
-    ``oracle_nodes``, in trial order."""
+    ``oracle_nodes``, and the children it skipped by key and by bound as
+    ``oracle_repeats`` and ``oracle_prunes``, each in trial order."""
     if not methods:
         raise ValueError("no methods to evaluate")
     unknown = set(methods) - set(ALL_METHODS)
@@ -186,8 +186,10 @@ def run_eval(
                 searched = list(pool.map(_oracle_trial, tasks))
         else:
             searched = [_oracle_trial(t) for t in tasks]
-        rows.extend(row for row, _ in searched)
-        manifest["oracle_nodes"] = [nodes for _, nodes in searched]
+        rows.extend(_plan_row(trial, ORACLE, r.plan) for trial, r in enumerate(searched))
+        manifest["oracle_nodes"] = [r.nodes for r in searched]
+        manifest["oracle_repeats"] = [r.repeats for r in searched]
+        manifest["oracle_prunes"] = [r.prunes for r in searched]
 
     for row in rows:
         if not math.isfinite(total := row["total_qoe"]):

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import minislot.oracle
@@ -9,7 +10,7 @@ from minislot.config import tiny_experiment
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier
 from minislot.oracle import SearchSizeError, oracle_best_plan
-from minislot.runner import ORACLE, run_eval
+from minislot.runner import ORACLE, build_env, run_eval
 from minislot.scenario import default_config, scenario_for_trial, tiny_config
 
 
@@ -123,17 +124,44 @@ def test_parallel_oracle_matches_serial(tmp_path):
     a = (tmp_path / "serial" / "eval.csv").read_bytes()
     b = (tmp_path / "parallel" / "eval.csv").read_bytes()
     assert a == b
-    # each trial's search size, in trial order, whichever worker ran it
-    nodes = [
-        json.loads((tmp_path / side / "manifest.json").read_text())["oracle_nodes"]
+    # each trial's search counts, in trial order, whichever worker ran it
+    manifests = [
+        json.loads((tmp_path / side / "manifest.json").read_text())
         for side in ("serial", "parallel")
     ]
     scenario = config.scenario
     expected = [
-        oracle_best_plan(scenario, tuple(scenario_for_trial(scenario, trial))).nodes
+        oracle_best_plan(scenario, tuple(scenario_for_trial(scenario, trial)), config.reward)
         for trial in range(2)
     ]
-    assert nodes == [expected, expected]
+    for name in ("nodes", "repeats", "prunes"):
+        counts = [getattr(result, name) for result in expected]
+        assert [m[f"oracle_{name}"] for m in manifests] == [counts, counts]
+
+
+def test_oracle_searches_the_episode_the_policy_plays(tmp_path):
+    """The step limit of the experiment's reward parameters ends the
+    oracle's episodes as it ends the policy's: at one step, a search makes
+    only the reset state's children, and its answer is the best of them."""
+    config = tiny_experiment(n_eval_trials=2)
+    capped = replace(config, reward=replace(config.reward, max_steps=1))
+    rows = run_eval(capped, str(tmp_path), methods=(ORACLE,))
+    nodes = json.loads((tmp_path / "manifest.json").read_text())["oracle_nodes"]
+    env = build_env(capped)
+    for row, searched in zip(rows, nodes, strict=True):
+        profiles = tuple(scenario_for_trial(capped.scenario, row["trial"]))
+        env.reset(profiles)
+        actions = [int(a) for a in np.flatnonzero(env.feasible_actions())]
+        totals = []
+        for action in actions:
+            child = env.clone()
+            child.step(action)
+            assert child.done
+            totals.append(child.total_qoe())
+        assert searched == len(actions)
+        assert row["total_qoe"] == max(totals)
+        result = oracle_best_plan(capped.scenario, profiles, capped.reward)
+        assert len(result.plan.allocations) == 1
 
 
 def test_stillborn_grid_yields_empty_plan():

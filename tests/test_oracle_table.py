@@ -1,12 +1,14 @@
 """The oracle's table of seen states and its bound: the key it computes
 for a child before making it covers every part of the environment that
 decides what can follow, equal keys step to states with equal futures, the
-bound is at least every total below its state, the search they shorten
-still returns what plain enumeration returns, and it reads the environment
-only through its protocol."""
+bound is at least every total below its state and is predicted exactly for
+a child before it is made, the search they shorten still returns what
+plain enumeration returns, and it reads the environment only through its
+protocol."""
 
 import ast
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minislot.oracle
-from minislot.env import SchedulingEnv
+from minislot.env import RewardParams, SchedulingEnv
 from minislot.grid import GridSpec, Tier, live_cells, live_plans
 from minislot.oracle import oracle_best_plan
 from minislot.scenario import scenario_for_trial, tiny_config
@@ -27,16 +29,18 @@ KEY_FIELDS = SchedulingEnv.KEY_FIELDS
 NOT_KEYED = {
     # fixed per config
     "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
-    "aux_dim", "_largest_area",
-    # fixed per trial: the scenario, the serving order and the bits each
-    # action adds for each user
-    "profiles", "order", "_added_bits",
+    "aux_dim", "_largest_area", "_frame_s", "_live_plans",
+    # fixed per trial: the scenario, the serving order, the bits each
+    # action adds for each user and the bits one cell gives each user
+    "profiles", "order", "_added_bits", "_cell_bits",
     # derived: the mask and each action's first fit from the grid and
     # cursor, each user's scores from its bits, the step count is the sum
     # of the per-tier counts
     "_mask", "_fits", "_scores", "step_count",
-    # records of the past, which no later step reads
-    "allocations",
+    # records of the past, which no later step reads; a user is excluded
+    # from the base tier only on the step that ends the episode, so the
+    # exclusion flags are all False in every live state
+    "allocations", "bt_excluded",
     # terminal states are never keyed
     "done", "outcome",
 }
@@ -91,7 +95,6 @@ PERTURB = {
     "bt_count": lambda e: e.bt_count.__setitem__(1, e.bt_count[1] + 1),
     "et_count": lambda e: e.et_count.__setitem__(1, e.et_count[1] + 1),
     "served": lambda e: e.served.__setitem__(1, not e.served[1]),
-    "bt_excluded": lambda e: e.bt_excluded.__setitem__(1, not e.bt_excluded[1]),
     "phase": lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT),
     "_et_rotation": lambda e: e._et_rotation.append(0),
     "_active": lambda e: setattr(e, "_active", _other(e)),
@@ -119,7 +122,9 @@ def test_key_ignores_owners():
 
 def plain_best(env: SchedulingEnv) -> tuple[float, tuple[int, ...]]:
     """Reference: every action sequence in large-shape-first order, no
-    bound and no table; the first terminal state with the highest total."""
+    bound and no table; the first terminal state with the highest total.
+    ``env`` is built with the reward parameters the oracle is given, so
+    both end an episode at the same step limit."""
     order = sorted(range(env.n_actions), key=lambda a: -env.shapes[a].area_units)
     best = [-math.inf, ()]
 
@@ -142,8 +147,11 @@ def plain_best(env: SchedulingEnv) -> tuple[float, tuple[int, ...]]:
 
 @st.composite
 def micro_configs(draw):
+    """A micro config and reward parameters whose step limit often cuts
+    its episodes short: with at most 2 users and 2 BWPs per user and tier,
+    no episode is longer than 8 steps."""
     n_ues = draw(st.integers(1, 2))
-    return tiny_config(
+    config = tiny_config(
         n_ues=n_ues,
         grid=GridSpec(
             mu_min=1,
@@ -161,6 +169,8 @@ def micro_configs(draw):
         max_bwps_per_ue_tier=draw(st.integers(1, 2)),
         rng_seed=draw(st.integers(0, 2**16)),
     )
+    max_steps = draw(st.one_of(st.just(RewardParams().max_steps), st.integers(1, 8)))
+    return config, RewardParams(max_steps=max_steps)
 
 
 @st.composite
@@ -168,8 +178,8 @@ def strip_configs(draw):
     """Two users who are easily served, sharing enhancement BWPs along one
     two-row strip: placing two lengths in either order fills the same
     cells, so many states repeat and a key that merged unequal states
-    would change the answer."""
-    return tiny_config(
+    would change the answer.  The reward parameters are the defaults."""
+    config = tiny_config(
         grid=GridSpec(
             mu_min=1,
             mu_max=2,
@@ -182,18 +192,19 @@ def strip_configs(draw):
         max_bwps_per_ue_tier=2,
         rng_seed=draw(st.integers(0, 2**16)),
     )
+    return config, RewardParams()
 
 
-def check_oracle_matches_plain_enumeration(config, trial):
+def check_oracle_matches_plain_enumeration(config, trial, reward=None):
     profiles = tuple(scenario_for_trial(config, trial))
-    env = SchedulingEnv(config)
+    env = SchedulingEnv(config, reward)
     env.reset(profiles=profiles)
     total, actions = plain_best(env)
-    result = oracle_best_plan(config, profiles)
+    result = oracle_best_plan(config, profiles, reward)
     assert result.plan.total_qoe == total
     # the plan read off the search's leaf is the plan of the enumeration's
     # actions replayed on a fresh environment
-    replay = SchedulingEnv(config)
+    replay = SchedulingEnv(config, reward)
     replay.reset(profiles=profiles)
     for action in actions:
         replay.step(action)
@@ -202,9 +213,10 @@ def check_oracle_matches_plain_enumeration(config, trial):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(config=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
-def test_oracle_matches_plain_enumeration(config, trial):
-    check_oracle_matches_plain_enumeration(config, trial)
+@given(instance=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
+def test_oracle_matches_plain_enumeration(instance, trial):
+    config, reward = instance
+    check_oracle_matches_plain_enumeration(config, trial, reward)
 
 
 def micro_grid(bandwidth_khz: float) -> GridSpec:
@@ -231,55 +243,107 @@ def test_oracle_matches_plain_enumeration_off_the_usual_qoe(qoe, bandwidth_khz):
     assert all((total < 0.0) == (qoe["qoe_a"] < 0.0) for total in totals)
 
 
-def bound_states(config, trial):
-    """(bound, best total below) of every live state of plain enumeration."""
-    env = SchedulingEnv(config)
+def bound_states(config, trial, reward):
+    """(bound, best total below) of every live state of plain enumeration,
+    and (predicted bound, done, bound or, if done, total) of every child
+    of one: what ``child_bounds`` of all the feasible actions predicted,
+    and what the child's ``total_bound()`` or ``total_qoe()`` reads."""
+    env = SchedulingEnv(config, reward)
     env.reset(profiles=tuple(scenario_for_trial(config, trial)))
-    pairs = []
+    pairs, children = [], []
 
     def best_below(node):
         if node.done:
             return node.total_qoe()
-        mask = node.feasible_actions()
+        actions = [int(a) for a in np.flatnonzero(node.feasible_actions())]
         best = -math.inf
-        for action in np.flatnonzero(mask):
+        for action, predicted in zip(actions, node.child_bounds(actions), strict=True):
             child = node.clone()
-            child.step(int(action))
+            child.step(action)
+            value = child.total_qoe() if child.done else child.total_bound()
+            children.append((predicted, child.done, value))
             best = max(best, best_below(child))
         pairs.append((node.total_bound(), best))
         return best
 
     best_below(env)
-    return pairs
+    return pairs, children
+
+
+def shifted(config):
+    """``config`` with every QoE 100 lower, the minimum too; a peak of 0.8
+    times the minimum is a little above the old peak less 100 for every
+    minimum micro_configs draws."""
+    return replace(
+        config,
+        qoe_a=-100.0,
+        min_qoe=tuple(q - 100.0 for q in config.min_qoe),
+        peak_factor=0.8,
+    )
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(
-    config=st.one_of(micro_configs(), strip_configs()),
+    instance=st.one_of(micro_configs(), strip_configs()),
     trial=st.integers(0, 50),
     negative=st.booleans(),
 )
-def test_bound_covers_every_total_below(config, trial, negative):
-    if negative:
-        # every QoE 100 lower, the minimum too; a peak of 0.8 times the
-        # minimum is a little above the old peak less 100 for every
-        # minimum micro_configs draws
-        config = replace(
-            config,
-            qoe_a=-100.0,
-            min_qoe=tuple(q - 100.0 for q in config.min_qoe),
-            peak_factor=0.8,
-        )
-    for bound, best in bound_states(config, trial):
+def test_bound_covers_every_total_below(instance, trial, negative):
+    config, reward = instance
+    pairs, _ = bound_states(shifted(config) if negative else config, trial, reward)
+    for bound, best in pairs:
         assert bound >= best
 
 
-def test_tiny_search_sizes():
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    instance=st.one_of(micro_configs(), strip_configs()),
+    trial=st.integers(0, 50),
+    negative=st.booleans(),
+)
+def test_child_bounds_predict_the_step(instance, trial, negative):
+    """A live child's bound, predicted before the step, is the one it has
+    after, bit for bit, so the oracle prunes the same children; a done
+    child's total is at most its predicted bound, so skipping it cannot
+    lose a strict gain."""
+    config, reward = instance
+    _, children = bound_states(shifted(config) if negative else config, trial, reward)
+    for predicted, done, value in children:
+        if done:
+            assert predicted >= value
+        else:
+            assert predicted == value
+
+
+def counting(calls: Counter, name: str):
+    """``SchedulingEnv``'s method ``name``, counting each call in ``calls``."""
+    method = getattr(SchedulingEnv, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return method(*args)
+
+    return counted
+
+
+def test_tiny_search_sizes(monkeypatch):
     """The benchmark's two tiny trials took 6,616 and 1,161 nodes before
-    live-cell keys and the bound; the tests above keep their answers."""
+    live-cell keys and the bound, and 2,384 steps and 1,324 clones in all
+    while children were bounded only once made; the tests above keep their
+    answers.  Every node is a repeated key, a pruned child or a child made
+    by one step."""
+    calls = Counter()
+    for name in ("step", "clone"):
+        monkeypatch.setattr(SchedulingEnv, name, counting(calls, name))
     config = tiny_config(rng_seed=1)
-    nodes = [oracle_best_plan(config, tuple(scenario_for_trial(config, t))).nodes for t in (0, 1)]
+    nodes = []
+    for trial in (0, 1):
+        steps = calls["step"]
+        result = oracle_best_plan(config, tuple(scenario_for_trial(config, trial)))
+        nodes.append(result.nodes)
+        assert result.nodes == result.repeats + result.prunes + calls["step"] - steps
     assert nodes == [3812, 615]
+    assert (calls["step"], calls["clone"]) == (1829, 809)
 
 
 def live(env):
@@ -303,13 +367,13 @@ def future(env):
     return fields
 
 
-def check_equal_keys_step_alike(config, trial) -> tuple[int, int]:
+def check_equal_keys_step_alike(config, trial, reward=None) -> tuple[int, int]:
     """Steps every (state, action) pair below the reset state, searching
     each distinct child once as the oracle does, and requires any two
     pairs with one key to step to states with one ``future``.  Returns how
     many pairs repeated an earlier key, and how many of those differ from
     it in their free cells."""
-    env = SchedulingEnv(config)
+    env = SchedulingEnv(config, reward)
     env.reset(profiles=tuple(scenario_for_trial(config, trial)))
     first: dict[bytes, SchedulingEnv] = {}
     stack = [] if env.done else [env]
@@ -338,16 +402,17 @@ def test_repeated_child_keys_occur_and_step_alike():
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(config=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
-def test_equal_child_keys_step_to_equal_states(config, trial):
-    check_equal_keys_step_alike(config, trial)
+@given(instance=st.one_of(micro_configs(), strip_configs()), trial=st.integers(0, 50))
+def test_equal_child_keys_step_to_equal_states(instance, trial):
+    config, reward = instance
+    check_equal_keys_step_alike(config, trial, reward)
 
 
 # what the oracle may read of an environment: the episode protocol, the
 # search's calls, and the action count and shapes it orders the actions by
 ENV_PROTOCOL = {
     "reset", "feasible_actions", "step", "done", "total_qoe", "plan",
-    "child_keys", "total_bound", "clone", "n_actions", "shapes",
+    "child_keys", "child_bounds", "clone", "n_actions", "shapes",
 }
 
 
@@ -361,4 +426,4 @@ def test_oracle_reads_only_the_env_protocol():
         and node.value.id in ("env", "child")
     }
     assert read <= ENV_PROTOCOL, sorted(read - ENV_PROTOCOL)
-    assert {"child_keys", "total_bound", "step"} <= read  # the walk saw the search
+    assert {"child_keys", "child_bounds", "step"} <= read  # the walk saw the search
