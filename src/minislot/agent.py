@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
             raise ValueError("epsilon_decay_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def epsilon_at(cfg: TrainConfig, episode: int) -> float:
@@ -96,17 +98,7 @@ class ReplayBuffer:
     batch drawn, so drawing a minibatch allocates no grids.
     """
 
-    # field -> dtype of a drawn minibatch; action and reward widen
-    _DRAWN = {
-        "cell": np.uint8,
-        "aux": np.float32,
-        "action": np.int64,
-        "reward": np.float64,
-        "done": np.bool_,
-        "next_cell": np.uint8,
-        "next_aux": np.float32,
-        "next_mask": np.bool_,
-    }
+    _FIELDS = ("cell", "aux", "action", "reward", "done", "next_cell", "next_aux", "next_mask")
 
     def __init__(self, capacity: int, grid_shape: tuple[int, int], aux_dim: int, n_actions: int):
         self.capacity = capacity
@@ -153,7 +145,8 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        """``batch`` uniform draws with replacement.
+        """``batch`` uniform draws with replacement, each field in the dtype
+        it is stored in.
 
         The arrays are views into the buffer's own storage: the next
         ``sample`` overwrites them.
@@ -161,17 +154,13 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch)
         if len(self._drawn.get("cell", ())) < batch:
             self._drawn = {
-                name: np.empty((batch, *getattr(self, name).shape[1:]), dtype)
-                for name, dtype in self._DRAWN.items()
+                name: np.empty((batch, *getattr(self, name).shape[1:]), getattr(self, name).dtype)
+                for name in self._FIELDS
             }
         drawn = {}
         for name, rows in self._drawn.items():
-            src, out = getattr(self, name), rows[:batch]
-            if src.dtype == out.dtype:  # idx is in range: "clip" never clips
-                np.take(src, idx, axis=0, out=out, mode="clip")
-            else:
-                out[:] = src[idx]
-            drawn[name] = out
+            # idx is in range: "clip" never clips
+            drawn[name] = np.take(getattr(self, name), idx, axis=0, out=rows[:batch], mode="clip")
         return drawn
 
 
@@ -229,14 +218,15 @@ def _td_targets(
     batch: dict[str, np.ndarray],
     discount: float,
     n_ues: int,
-    grids: np.ndarray | None = None,
+    grids: np.ndarray,
 ) -> np.ndarray:
-    """Reward plus the discounted best feasible next-state Q of live rows.
+    """Reward, widened to float64, plus the discounted best feasible
+    next-state Q of live rows.
 
     ``grids`` (float32, at least B x 3 x F x T) receives the live rows'
-    observation channels; without it they are allocated.
+    observation channels.
     """
-    targets = batch["reward"].copy()
+    targets = batch["reward"].astype(np.float64)
     live = ~batch["done"]
     if live.any():
         q_next = net.forward(

@@ -122,8 +122,7 @@ class SchedulingEnv:
     # else reset() sets is fixed per trial, derived from these, or a record
     # of the past (tests/test_oracle_table.py checks the split).
     KEY_FIELDS = (
-        "occupancy", "bt_bits", "et_bits", "bt_count", "et_count", "served",
-        "phase", "_et_rotation", "_active",
+        "occupancy", "bits", "counts", "served", "phase", "_et_rotation", "_active",
     )
 
     def __init__(
@@ -170,12 +169,12 @@ class SchedulingEnv:
         n = cfg.n_ues
 
         self.occupancy = Occupancy(self.dims)
-        self.bt_bits = [0.0] * n
-        self.et_bits = [0.0] * n
+        # bits and placement counts per (user, tier): user u's base tier is
+        # slot u, its enhancement tier slot n + u
+        self.bits = [0.0] * (2 * n)
+        self.counts = [0] * (2 * n)
         self.served = [False] * n
         self.bt_excluded = [False] * n
-        self.bt_count = [0] * n
-        self.et_count = [0] * n
         # each user's scores, recomputed only when its bits change
         self._scores = [_NO_SCORES] * n
         # the bits per frame each action adds, per user
@@ -236,17 +235,16 @@ class SchedulingEnv:
         self.allocations.append(BwpAllocation(ue, tier, shape, t, f))
 
         q_before = self._scores[ue][1]
-        added_bits = self._added_bits[ue][action_index]
-        if tier == Tier.BT:
-            self.bt_bits[ue] += added_bits
-            self.bt_count[ue] += 1
-        else:
-            self.et_bits[ue] += added_bits
-            self.et_count[ue] += 1
+        n = self.config.n_ues
+        slot = self._slot(ue, tier)
+        self.bits[slot] += self._added_bits[ue][action_index]
+        self.counts[slot] += 1
+        # a user acts in the base tier only once _bt_hopeless finds it can
+        # gain bits there, and in the enhancement tier only once served, so
+        # its base-tier bits are positive here
         qp = self.profiles[ue].qoe
-        if self.bt_bits[ue] > 0.0:
-            rates = ue_rates(self.bt_bits[ue], self.et_bits[ue], self._frame_s, qp)
-            self._scores[ue] = ue_scores(*rates, qp)
+        rates = ue_rates(self.bits[ue], self.bits[n + ue], self._frame_s, qp)
+        self._scores[ue] = ue_scores(*rates, qp)
         q_bt, q_combined = self._scores[ue]
         delta = q_combined - q_before
         self.step_count += 1
@@ -277,7 +275,7 @@ class SchedulingEnv:
         keys mean children with equal futures.
 
         A step marks the action's stored first fit, adds its bits to the
-        active user's tier and counts it; the rest of what it changes (the
+        active user's slot for its tier and counts it there; the rest of what it changes (the
         served flag, the rotation, the next active user) follows from those
         fields and the trial's constants.  So a key holds the fields just
         after that add, with the cursor as the parent holds it.  The counts
@@ -299,17 +297,17 @@ class SchedulingEnv:
         free = self.occupancy.free
         n_free = free.bit_count()
         plans = self._live_plans
-        ints = [*self.bt_count, *self.et_count, et, ue, *self._et_rotation]
-        slot = ue + et * len(self.bt_count)  # the acting user's entry in its tier
+        ints = [*self.counts, et, ue, *self._et_rotation]
+        slot = self._slot(ue, self.phase)
         ints[slot] += 1
         shared = b"".join((
-            array("d", self.bt_bits + self.et_bits).tobytes(),
+            array("d", self.bits).tobytes(),
             bytes(self.served),
             array("q", ints).tobytes(),
         ))
         # each child's own bits for the acting user go in the gap
         before, after = shared[: 8 * slot], shared[8 * slot + 8 :]
-        bits = (self.et_bits if et else self.bt_bits)[ue]
+        bits = self.bits[slot]
         added = self._added_bits[ue]
         keys = []
         for action in actions:
@@ -324,6 +322,10 @@ class SchedulingEnv:
                 after,
             )))
         return keys
+
+    def _slot(self, ue: int, tier: Tier) -> int:
+        """User ``ue``'s entry for ``tier`` in ``bits`` and ``counts``."""
+        return ue + (tier == Tier.ET) * self.config.n_ues
 
     # ---------- cursor resolution ----------
 
@@ -374,10 +376,8 @@ class SchedulingEnv:
         feasible) for one user and tier."""
         mask = np.zeros(self.n_actions, dtype=bool)
         cap = self.config.max_bwps_per_ue_tier
-        if cap is not None:
-            count = self.bt_count[ue] if tier == Tier.BT else self.et_count[ue]
-            if count >= cap:
-                return mask, (), False, False
+        if cap is not None and self.counts[self._slot(ue, tier)] >= cap:
+            return mask, (), False, False
         find_first_fit = self.occupancy.find_first_fit
         fits = tuple(find_first_fit(shape) for shape in self.shapes)
         qp = self.profiles[ue].qoe
@@ -388,7 +388,7 @@ class SchedulingEnv:
                 continue
             placeable = True
             if tier == Tier.BT:
-                bits = self.bt_bits[ue] + added_bits[i]
+                bits = self.bits[ue] + added_bits[i]
                 q_after = base_tier_qoe(bits, self._frame_s, qp)
                 if q_after > qp.peak_qoe:
                     continue
@@ -403,10 +403,7 @@ class SchedulingEnv:
         stays unserved below its minimum even then, never less than 0, and a
         slack for rounding.  That needs more bits never to lower a QoE, so
         with a slope ``b`` below 0, or no cap on placements, this is inf."""
-        return self._bound(
-            self.occupancy.free_units(),
-            self.bt_bits, self.et_bits, self.bt_count, self.et_count, self.served,
-        )
+        return self._bound(self.occupancy.free_units(), self.bits, self.counts, self.served)
 
     def child_bounds(self, actions: list[int]) -> list[float]:
         """The ``total_bound()`` of the child that ``step`` would make from
@@ -423,12 +420,10 @@ class SchedulingEnv:
         """
         ue = self._active
         et = self.phase == Tier.ET
-        bt_bits, et_bits = self.bt_bits.copy(), self.et_bits.copy()
-        bt_count, et_count = self.bt_count.copy(), self.et_count.copy()
-        served = self.served.copy()
-        (et_count if et else bt_count)[ue] += 1
-        tier_bits = et_bits if et else bt_bits
-        bits = tier_bits[ue]
+        slot = self._slot(ue, self.phase)
+        bits, counts, served = self.bits.copy(), self.counts.copy(), self.served.copy()
+        counts[slot] += 1
+        parent_bits = bits[slot]
         added = self._added_bits[ue]
         qp = self.profiles[ue].qoe
         free = self.occupancy.free_units()
@@ -439,40 +434,39 @@ class SchedulingEnv:
             area = self.shapes[action].area_units
             if area in by_area:
                 continue
-            tier_bits[ue] = child_bits = bits + added[action]  # the float add step() makes
+            bits[slot] = child_bits = parent_bits + added[action]  # the float add step() makes
             if not et:
                 # the base tier's active user is unserved until this test
                 served[ue] = (
                     child_bits > 0.0
                     and base_tier_qoe(child_bits, self._frame_s, qp) >= qp.min_qoe
                 )
-            by_area[area] = self._bound(
-                free - area, bt_bits, et_bits, bt_count, et_count, served
-            )
+            by_area[area] = self._bound(free - area, bits, counts, served)
         return [by_area[self.shapes[action].area_units] for action in actions]
 
-    def _bound(self, free: int, bt_bits, et_bits, bt_count, et_count, served) -> float:
+    def _bound(self, free: int, bits, counts, served) -> float:
         """``total_bound()`` of a state of this trial and phase with these
-        free-cell count, bits, counts and serving flags."""
+        free-cell count, per-slot bits and counts, and serving flags."""
         cap = self.config.max_bwps_per_ue_tier
         if cap is None:
             return math.inf
         largest = self._largest_area
         base_tier = self.phase == Tier.BT
         frame_s = self._frame_s
+        n = self.config.n_ues
         total = 0.0
         for ue, profile in enumerate(self.profiles):
             qp = profile.qoe
             if qp.b < 0.0:
                 return math.inf
-            bt, et = bt_bits[ue], et_bits[ue]
+            bt, et = bits[ue], bits[n + ue]
             cell_bits = self._cell_bits[ue]
             unserved = not served[ue]
             if base_tier and unserved:
-                bt += min(free, (cap - bt_count[ue]) * largest) * cell_bits
+                bt += min(free, (cap - counts[ue]) * largest) * cell_bits
             if bt <= 0.0:
                 continue
-            et += min(free, (cap - et_count[ue]) * largest) * cell_bits
+            et += min(free, (cap - counts[n + ue]) * largest) * cell_bits
             q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
             slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
             if unserved and q_bt + slack < qp.min_qoe:
@@ -484,7 +478,7 @@ class SchedulingEnv:
         """Optimistic bound: could this user reach its minimum QoE given every
         free cell at its own spectral efficiency?"""
         profile = self.profiles[ue]
-        potential = self.bt_bits[ue] + (
+        potential = self.bits[ue] + (
             self.occupancy.free_units()
             * self.dims.rb_size_shz
             * profile.link.spectral_efficiency
@@ -503,7 +497,7 @@ class SchedulingEnv:
         aux = np.zeros(self.aux_dim, dtype=np.float32)
         for ue in range(n):
             base = 4 * ue
-            if self.bt_bits[ue] > 0.0:
+            if self.bits[ue] > 0.0:
                 q_bt, q_combined = self._scores[ue]
                 min_qoe = self.profiles[ue].qoe.min_qoe
                 aux[base] = q_bt / min_qoe
@@ -524,14 +518,10 @@ class SchedulingEnv:
         """The episode's placements with per-user QoE reports recomputed from
         the accumulated bits (the serving flags must agree with the
         protocol's own bookkeeping)."""
+        n = self.config.n_ues
         reports = tuple(
-            evaluate_ue(
-                self.bt_bits[ue],
-                self.et_bits[ue],
-                self._frame_s,
-                self.profiles[ue].qoe,
-            )
-            for ue in range(self.config.n_ues)
+            evaluate_ue(self.bits[ue], self.bits[n + ue], self._frame_s, self.profiles[ue].qoe)
+            for ue in range(n)
         )
         return AllocationPlan(tuple(self.allocations), reports)
 
@@ -542,7 +532,10 @@ class SchedulingEnv:
         set.
         """
         other = SchedulingEnv.__new__(SchedulingEnv)
-        state = other.__dict__ = self.__dict__.copy()
+        # dict(), not .copy(): a copy keeps the class's shared-key table,
+        # on which CPython 3.11 leaves attribute loads unspecialized, and
+        # the oracle calls most env methods on clones
+        state = other.__dict__ = dict(self.__dict__)
         for name, value in state.items():
             if type(value) in _COPIED_TYPES:
                 state[name] = value.copy()

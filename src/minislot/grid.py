@@ -206,24 +206,14 @@ def allocations_overlap(a: BwpAllocation, b: BwpAllocation) -> bool:
 
 
 def validate_allocation_set(allocations: list[BwpAllocation], dims: GridDims) -> bool:
-    """True iff every allocation is in bounds and no two overlap."""
-    n_freq = dims.n_freq_units
-    painted = 0  # cells taken so far, one bit per cell as in Occupancy
-    for alloc in allocations:
-        if alloc.time_offset_units < 0 or alloc.freq_offset_units < 0:
-            return False
-        if alloc.time_end > dims.n_time_units or alloc.freq_end > n_freq:
-            return False
-        cells = _cells(
-            n_freq,
-            alloc.time_offset_units,
-            alloc.freq_offset_units,
-            alloc.shape.freq_width_units,
-            alloc.shape.time_len_units,
-        )
-        if painted & cells:
-            return False
-        painted |= cells
+    """True iff every allocation is in bounds and no two overlap: each
+    marks a fresh ``Occupancy`` in turn, whose ``mark`` checks both."""
+    grid = Occupancy(dims)
+    try:
+        for alloc in allocations:
+            grid.mark(alloc.time_offset_units, alloc.freq_offset_units, alloc.shape, 1)
+    except ValueError:
+        return False
     return True
 
 
@@ -323,13 +313,11 @@ class Occupancy:
     """
 
     def __init__(self, dims: GridDims):
-        self.dims = dims
         self.code = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=np.uint8)
         self.free = (1 << dims.total_units) - 1
 
     def copy(self) -> "Occupancy":
         clone = Occupancy.__new__(Occupancy)
-        clone.dims = self.dims
         clone.code = self.code.copy()
         clone.free = self.free  # an int, never changed in place: shared
         return clone

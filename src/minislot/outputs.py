@@ -91,22 +91,19 @@ def write_training_csv(path, metrics, window: int = MOVING_AVERAGE_WINDOW) -> No
 
 
 def write_eval_csv(path, rows: Iterable[dict]) -> None:
-    """Rows need keys matching EVAL_COLUMNS; per_ue_qoe may be a sequence."""
+    """Rows need keys matching EVAL_COLUMNS; per_ue_qoe is a sequence."""
 
     def body(fh):
         writer = csv.writer(fh)
         writer.writerow(EVAL_COLUMNS)
         for row in rows:
-            per_ue = row["per_ue_qoe"]
-            if not isinstance(per_ue, str):
-                per_ue = ";".join(fmt(float(q)) for q in per_ue)
             writer.writerow(
                 [
                     fmt(row["trial"]),
                     str(row["method"]),
                     fmt(row["total_qoe"]),
                     fmt(row["served_count"]),
-                    per_ue,
+                    ";".join(fmt(float(q)) for q in row["per_ue_qoe"]),
                 ]
             )
 

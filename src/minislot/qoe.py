@@ -61,21 +61,20 @@ def combined_qoe(q_bt: float, q_total: float, fov_prob: float) -> float:
     return (1.0 - fov_prob) * q_bt + fov_prob * q_total
 
 
-def base_tier_qoe(bt_bits: float, frame_duration_s: float, params: QoeParams) -> float:
-    """QoE of ``bt_bits`` base-tier bits per frame, spread over the sphere."""
-    return qoe_fn(effective_rate(bt_bits, frame_duration_s, params.bt_coverage_deg2), params)
+def base_tier_qoe(bt: float, frame_duration_s: float, params: QoeParams) -> float:
+    """QoE of ``bt`` base-tier bits per frame, spread over the sphere."""
+    return qoe_fn(effective_rate(bt, frame_duration_s, params.bt_coverage_deg2), params)
 
 
 def ue_rates(
-    bt_bits: float, et_bits: float, frame_duration_s: float, params: QoeParams
+    bt: float, et: float, frame_duration_s: float, params: QoeParams
 ) -> tuple[float, float]:
-    """(base-tier, total) effective rate of one user's bits per frame."""
-    bt_rate = effective_rate(bt_bits, frame_duration_s, params.bt_coverage_deg2)
-    if et_bits <= 0.0:
+    """(base-tier, total) effective rate of one user's base-tier bits ``bt``
+    and enhancement-tier bits ``et`` per frame."""
+    bt_rate = effective_rate(bt, frame_duration_s, params.bt_coverage_deg2)
+    if et <= 0.0:
         return bt_rate, bt_rate
-    return bt_rate, bt_rate + effective_rate(
-        et_bits, frame_duration_s, params.et_coverage_deg2
-    )
+    return bt_rate, bt_rate + effective_rate(et, frame_duration_s, params.et_coverage_deg2)
 
 
 def ue_scores(bt_rate: float, total_rate: float, params: QoeParams) -> tuple[float, float]:
@@ -101,17 +100,18 @@ class QoeReport:
 
 
 def evaluate_ue(
-    bt_bits: float,
-    et_bits: float,
+    bt: float,
+    et: float,
     frame_duration_s: float,
     params: QoeParams,
 ) -> QoeReport:
-    """Full per-user QoE pipeline with the minimum-QoE serving test.
+    """Full per-user QoE pipeline, on base-tier bits ``bt`` and
+    enhancement-tier bits ``et`` per frame, with the minimum-QoE serving test.
 
     A user with no base-tier rate is reported unserved with NaN scores
     instead of raising, so plan evaluation stays total.
     """
-    if bt_bits <= 0.0:
+    if bt <= 0.0:
         return QoeReport(
             bt_rate=0.0,
             total_rate=0.0,
@@ -119,7 +119,7 @@ def evaluate_ue(
             q_combined=math.nan,
             served=False,
         )
-    bt_rate, total = ue_rates(bt_bits, et_bits, frame_duration_s, params)
+    bt_rate, total = ue_rates(bt, et, frame_duration_s, params)
     q_bt, q_comb = ue_scores(bt_rate, total, params)
     return QoeReport(
         bt_rate=bt_rate,

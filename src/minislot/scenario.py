@@ -141,6 +141,8 @@ class ScenarioConfig:
                     f"minislot_set entry {eta} outside the mini-slot symbol range "
                     f"[1, {MAX_MINISLOT_SYMBOLS}]"
                 )
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.max_bwps_per_ue_tier is not None and self.max_bwps_per_ue_tier < 1:
             raise ValueError(
                 f"max_bwps_per_ue_tier must be None or at least 1, got "

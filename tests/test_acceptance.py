@@ -339,9 +339,9 @@ def _check_episode(env) -> list[str]:
 
     # C1: the served flag must match the base-tier QoE threshold
     for ue, profile in enumerate(env.profiles):
-        if env.bt_bits[ue] > 0.0:
+        if env.bits[ue] > 0.0:
             rate = effective_rate(
-                env.bt_bits[ue], cfg.frame_duration_s, profile.qoe.bt_coverage_deg2
+                env.bits[ue], cfg.frame_duration_s, profile.qoe.bt_coverage_deg2
             )
             q_bt = qoe_fn(rate, profile.qoe)
         else:
@@ -374,8 +374,8 @@ def _check_episode(env) -> list[str]:
         else:
             et[alloc.ue_index] += bits
     if not (
-        np.allclose(bt, env.bt_bits, rtol=1e-9, atol=1e-6)
-        and np.allclose(et, env.et_bits, rtol=1e-9, atol=1e-6)
+        np.allclose(bt, env.bits[: cfg.n_ues], rtol=1e-9, atol=1e-6)
+        and np.allclose(et, env.bits[cfg.n_ues :], rtol=1e-9, atol=1e-6)
     ):
         bad.append("bit bookkeeping does not match allocations")
 

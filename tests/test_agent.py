@@ -15,7 +15,7 @@ from minislot.agent import (
     train,
 )
 from minislot.env import SchedulingEnv, expand_cells
-from minislot.net import QNetwork, default_net_config
+from minislot.net import GRID_CHANNELS, QNetwork, default_net_config
 from minislot.scenario import scenario_for_trial, tiny_config
 
 CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "checkpoints" / "default-60ep-seed0.npz"
@@ -109,8 +109,8 @@ def test_replay_sample_shapes():
     batch = buf.sample(8, np.random.default_rng(0))
     assert batch["cell"].shape == (8, 2, 2)
     assert batch["aux"].shape == (8, 3)
-    assert batch["action"].dtype == np.int64
-    assert batch["reward"].dtype == np.float64
+    assert batch["action"].dtype == np.int16  # the stored dtypes
+    assert batch["reward"].dtype == np.float32
     assert batch["next_mask"].shape == (8, 4)
 
 
@@ -179,13 +179,15 @@ def test_td_targets_bootstrap_only_live_rows():
     cell, aux = env.compact_observation()
     mask = env.feasible_actions()
     batch = {
-        "reward": np.array([2.0, -1.0]),
+        "reward": np.array([2.0, -1.0], np.float32),  # as the buffer stores them
         "done": np.array([True, False]),
         "next_cell": np.stack([cell, cell]),
         "next_aux": np.stack([aux, aux]),
         "next_mask": np.stack([mask, mask]),
     }
-    targets = _td_targets(net, params, batch, discount=0.9, n_ues=env.config.n_ues)
+    grids = np.empty((2, GRID_CHANNELS, *cell.shape), np.float32)
+    targets = _td_targets(net, params, batch, 0.9, env.config.n_ues, grids)
+    assert targets.dtype == np.float64
     assert targets[0] == 2.0  # terminal: no bootstrap
     q = net.forward(params, expand_cells(cell, env.config.n_ues), aux)[0]
     expected = -1.0 + 0.9 * np.max(np.where(mask, q, -np.inf))

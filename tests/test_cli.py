@@ -172,6 +172,7 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
             {}, None, "at least 1 worker, got 0",
         ),
         (["oracle", "--tiny", "--trials", "2", "--jobs", "-2"], {}, None, "at least 1 worker, got -2"),
+        (["train", "--tiny", "--seed", "-1"], {}, None, "seed must be non-negative, got -1"),
     ],
 )
 def test_counts_below_one_fail_cleanly(
@@ -201,6 +202,8 @@ def test_counts_below_one_fail_cleanly(
         ({"MINISLOT_TRAIN__EPISODES": "1.5"}, "MINISLOT_TRAIN__EPISODES: train.episodes must be int"),
         ({"MINISLOT_TRAIN__SEED": "true"}, "MINISLOT_TRAIN__SEED: train.seed must be int"),
         ({"MINISLOT_SCENARIO__NUMEROLOGY_SET": "[1, 2.5]"}, "numerology_set[1] must be int"),
+        ({"MINISLOT_TRAIN__SEED": "-1"}, "seed must be non-negative, got -1"),
+        ({"MINISLOT_SCENARIO__RNG_SEED": "-5"}, "rng_seed must be non-negative, got -5"),
     ],
 )
 def test_bad_train_overrides_fail_cleanly(environ, message, tmp_path, monkeypatch, capsys):

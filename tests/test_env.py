@@ -91,7 +91,7 @@ def test_full_episode_success_and_bonus():
     assert rewards[-1] == 500.0
     assert validate_allocation_set(env.allocations, env.dims)
     # enhancement tier was actually reached and used
-    assert sum(env.et_bits) > 0
+    assert sum(env.bits[env.config.n_ues :]) > 0
 
 
 def test_small_shapes_waste_the_budget_and_violate():
@@ -241,8 +241,8 @@ def test_qoe_bookkeeping_consistent_with_allocations():
             for a in env.allocations
             if a.ue_index == ue and a.tier == Tier.ET
         )
-        assert env.bt_bits[ue] == pytest.approx(bt, abs=1e-9)
-        assert env.et_bits[ue] == pytest.approx(et, abs=1e-9)
+        assert env.bits[ue] == pytest.approx(bt, abs=1e-9)
+        assert env.bits[env.config.n_ues + ue] == pytest.approx(et, abs=1e-9)
     plan = env.plan()
     assert plan.allocations == tuple(env.allocations)
     for ue, report in enumerate(plan.reports):
@@ -252,7 +252,7 @@ def test_qoe_bookkeeping_consistent_with_allocations():
 
 def _assert_same(actual, expected, name):
     if isinstance(expected, Occupancy):
-        assert actual.dims == expected.dims, name
+        assert actual.free == expected.free, name
         actual, expected = actual.code, expected.code
     if isinstance(expected, np.ndarray):
         assert actual.dtype == expected.dtype, name

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from minislot.agent import ReplayBuffer, _td_targets, save_checkpoint
+from minislot.agent import ReplayBuffer, save_checkpoint
 from minislot.env import expand_cells
 from minislot.net import (
     Adam,
@@ -318,24 +318,6 @@ def test_expand_cells_matches_the_allocating_version():
         assert np.shares_memory(rows, out) and rows.tobytes() == expected.tobytes()
 
 
-def test_td_targets_are_the_same_with_and_without_a_grid_buffer():
-    config = GEOMETRIES["tiny"]
-    net = QNetwork(config)
-    params = net.init_params(np.random.default_rng(6))
-    rng = np.random.default_rng(7)
-    buf = ReplayBuffer(64, (config.grid_height, config.grid_width), config.aux_dim, config.n_actions)
-    for i in range(40):
-        cell = rng.integers(0, 5, size=(config.grid_height, config.grid_width)).astype(np.uint8)
-        aux = rng.random(config.aux_dim)
-        mask = rng.random(config.n_actions) < 0.7
-        buf.add(cell, aux, i % config.n_actions, rng.normal(), i % 4 == 0, cell, aux, mask)
-    batch = buf.sample(16, np.random.default_rng(8))
-    grids = np.empty((16, 3, config.grid_height, config.grid_width), np.float32)
-    with_buffer = _td_targets(net, params, batch, 0.9, 2, grids)
-    without = _td_targets(net, params, batch, 0.9, 2)
-    assert with_buffer.tobytes() == without.tobytes()
-
-
 def test_replay_sample_matches_fancy_indexing():
     rng = np.random.default_rng(9)
     buf = ReplayBuffer(50, (3, 4), 5, 6)
@@ -347,8 +329,7 @@ def test_replay_sample_matches_fancy_indexing():
         drawn = buf.sample(batch, np.random.default_rng(batch))
         expected = {
             "cell": buf.cell[idx], "aux": buf.aux[idx],
-            "action": buf.action[idx].astype(np.int64),
-            "reward": buf.reward[idx].astype(np.float64),
+            "action": buf.action[idx], "reward": buf.reward[idx],
             "done": buf.done[idx], "next_cell": buf.next_cell[idx],
             "next_aux": buf.next_aux[idx], "next_mask": buf.next_mask[idx],
         }

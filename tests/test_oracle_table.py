@@ -7,6 +7,7 @@ plain enumeration returns, and it reads the environment only through its
 protocol."""
 
 import ast
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -70,7 +71,7 @@ def test_key_fields_and_exclusions_cover_the_env_state():
     assert not NOT_KEYED & set(KEY_FIELDS)
     for env in live_states():
         assert set(vars(env)) <= NOT_KEYED | set(KEY_FIELDS)
-        assert env.step_count == sum(env.bt_count) + sum(env.et_count)
+        assert env.step_count == sum(env.counts)
 
 
 def _occupy_last_free_cell(env):
@@ -85,31 +86,42 @@ def _other(env):
     return (env._active + 1) % len(env.profiles)
 
 
-# one change per key field of a live parent; each must change the key of
-# every child.  The bits change by one ulp on a user that does not act, so
-# no add can absorb the change.
-PERTURB = {
-    "occupancy": _occupy_last_free_cell,
-    "bt_bits": lambda e: e.bt_bits.__setitem__(_other(e), np.nextafter(e.bt_bits[_other(e)], 1.0)),
-    "et_bits": lambda e: e.et_bits.__setitem__(_other(e), np.nextafter(e.et_bits[_other(e)], 1.0)),
-    "bt_count": lambda e: e.bt_count.__setitem__(1, e.bt_count[1] + 1),
-    "et_count": lambda e: e.et_count.__setitem__(1, e.et_count[1] + 1),
-    "served": lambda e: e.served.__setitem__(1, not e.served[1]),
-    "phase": lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT),
-    "_et_rotation": lambda e: e._et_rotation.append(0),
-    "_active": lambda e: setattr(e, "_active", _other(e)),
-}
+def _more_bits(env, tier):
+    """One ulp more bits in ``tier`` for a user that does not act, so no
+    add can absorb the change."""
+    slot = env._slot(_other(env), tier)
+    env.bits[slot] = np.nextafter(env.bits[slot], 1.0)
+
+
+def _one_more_placement(env, tier):
+    env.counts[env._slot(1, tier)] += 1
+
+
+# (key field, change) pairs, at least one per key field of a live parent
+# and one per tier half of the bits and of the counts; each change must
+# change the key of every child
+PERTURB = [
+    ("occupancy", _occupy_last_free_cell),
+    ("bits", lambda e: _more_bits(e, Tier.BT)),
+    ("bits", lambda e: _more_bits(e, Tier.ET)),
+    ("counts", lambda e: _one_more_placement(e, Tier.BT)),
+    ("counts", lambda e: _one_more_placement(e, Tier.ET)),
+    ("served", lambda e: e.served.__setitem__(1, not e.served[1])),
+    ("phase", lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT)),
+    ("_et_rotation", lambda e: e._et_rotation.append(0)),
+    ("_active", lambda e: setattr(e, "_active", _other(e))),
+]
 
 
 def test_every_key_field_changes_the_key():
-    assert set(PERTURB) == set(KEY_FIELDS)
+    assert {name for name, _ in PERTURB} == set(KEY_FIELDS)
     for env in live_states():
         base = keys(env)
-        for name, perturb in PERTURB.items():
+        for i, (name, perturb) in enumerate(PERTURB):
             other = env.clone()
             perturb(other)
             for a, b in zip(base, keys(other), strict=True):
-                assert a != b, name
+                assert a != b, (i, name)
 
 
 def test_key_ignores_owners():
@@ -344,6 +356,33 @@ def test_tiny_search_sizes(monkeypatch):
         assert result.nodes == result.repeats + result.prunes + calls["step"] - steps
     assert nodes == [3812, 615]
     assert (calls["step"], calls["clone"]) == (1829, 809)
+
+
+def test_tiny_answers_are_pinned(monkeypatch):
+    """The oracle's answers and work on tiny scenario seeds 0-1, trials
+    0-19: a hash of every plan's placements as integers, and the nodes,
+    steps and clones of all 40 searches.  A change that keeps the search
+    keeps all four."""
+    calls = Counter()
+    for name in ("step", "clone"):
+        monkeypatch.setattr(SchedulingEnv, name, counting(calls, name))
+    digest = hashlib.sha256()
+    nodes = 0
+    for seed in (0, 1):
+        config = tiny_config(rng_seed=seed)
+        for trial in range(20):
+            result = oracle_best_plan(config, tuple(scenario_for_trial(config, trial)))
+            nodes += result.nodes
+            placements = tuple(
+                (a.ue_index, int(a.tier == Tier.ET), a.shape.mu, a.shape.eta,
+                 a.time_offset_units, a.freq_offset_units)
+                for a in result.plan.allocations
+            )
+            digest.update(repr(placements).encode())
+    assert (nodes, calls["step"], calls["clone"]) == (154_357, 64_552, 29_391)
+    assert digest.hexdigest() == (
+        "a745e048bb0bb82e18c4cc70e52338b32941cae6c4d94e951d892e386822c5d5"
+    )
 
 
 def live(env):

@@ -95,8 +95,9 @@ def check_invariants(env: SchedulingEnv) -> None:
         assert env.served[ue] == report.served
         # the kept scores are the scores of the user's bits as they stand
         qp = profile.qoe
-        if env.bt_bits[ue] > 0.0:
-            rates = ue_rates(env.bt_bits[ue], env.et_bits[ue], env.config.frame_duration_s, qp)
+        n = env.config.n_ues
+        if env.bits[ue] > 0.0:
+            rates = ue_rates(env.bits[ue], env.bits[n + ue], env.config.frame_duration_s, qp)
             assert env._scores[ue] == ue_scores(*rates, qp)
         else:
             assert env._scores[ue] == (-math.inf, 0.0)
