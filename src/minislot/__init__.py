@@ -21,7 +21,7 @@ from .grid import (
     validate_allocation_set,
 )
 from .qoe import QoeParams, QoeReport, combined_qoe, effective_rate, qoe_fn
-from .radio import LinkParams, LinkState, bwp_rate_bits, path_gain, snr
+from .radio import LinkParams, LinkState, path_gain, snr
 from .scenario import (
     FovModel,
     ScenarioConfig,

@@ -41,7 +41,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tiny", action="store_true", help="start from the small two-user setup"
     )
-    parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", help="output directory (default from config)")
 
 
@@ -55,7 +54,7 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         config = default_experiment()
     config = apply_env_overrides(config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, train=replace(config.train, seed=args.seed))
     if getattr(args, "episodes", None) is not None:
         config = replace(config, train=replace(config.train, episodes=args.episodes))
@@ -73,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a deep-Q scheduling policy")
     _add_common(p_train)
+    p_train.add_argument("--seed", type=int, help="override the training seed")
     p_train.add_argument("--episodes", type=int, help="override training episodes")
     p_train.add_argument(
         "--quiet", action="store_true", help="suppress per-episode progress"
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
                 filename="oracle.csv",
             )
             _print_summary(rows)
-    except (ValueError, OSError, SearchSizeError) as exc:
+    except (ValueError, OSError, MemoryError, SearchSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

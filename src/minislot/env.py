@@ -28,7 +28,7 @@ from .baselines import AllocationPlan, equal_time_frequency_plan
 from .grid import (
     BwpAllocation, BwpShape, Occupancy, Tier, _cells, bwp_shape, live_cells, live_plans,
 )
-from .qoe import base_tier_qoe, evaluate_ue, ue_rates, ue_scores
+from .qoe import base_tier_qoe, evaluate_ue, ue_scores
 # perfbench/spans.py counts calls through these module globals
 from .qoe import combined_qoe, effective_rate, qoe_fn  # noqa: F401
 from .scenario import ScenarioConfig, UeProfile
@@ -121,9 +121,7 @@ class SchedulingEnv:
     # The attributes that decide what can follow a live state.  Everything
     # else reset() sets is fixed per trial, derived from these, or a record
     # of the past (tests/test_oracle_table.py checks the split).
-    KEY_FIELDS = (
-        "occupancy", "bits", "counts", "served", "phase", "_et_rotation", "_active",
-    )
+    KEY_FIELDS = ("occupancy", "bits", "counts", "_et_rotation")
 
     def __init__(
         self,
@@ -139,13 +137,12 @@ class SchedulingEnv:
         if config.n_ues > MAX_CODED_UES:
             raise ValueError(f"n_ues {config.n_ues} exceeds {MAX_CODED_UES}, the cell codes' limit")
         self.dims = config.dims()
-        self.action_set: tuple[tuple[int, int], ...] = tuple(
-            (mu, eta) for mu in config.numerology_set for eta in config.minislot_set
-        )
         self.shapes: tuple[BwpShape, ...] = tuple(
-            bwp_shape(mu, eta, config.grid) for mu, eta in self.action_set
+            bwp_shape(mu, eta, config.grid)
+            for mu in config.numerology_set
+            for eta in config.minislot_set
         )
-        self.n_actions = len(self.action_set)
+        self.n_actions = len(self.shapes)
         self._largest_area = max(shape.area_units for shape in self.shapes)
         self._frame_s = config.frame_duration_s
         self._live_plans = live_plans(
@@ -243,8 +240,7 @@ class SchedulingEnv:
         # gain bits there, and in the enhancement tier only once served, so
         # its base-tier bits are positive here
         qp = self.profiles[ue].qoe
-        rates = ue_rates(self.bits[ue], self.bits[n + ue], self._frame_s, qp)
-        self._scores[ue] = ue_scores(*rates, qp)
+        self._scores[ue] = ue_scores(self.bits[ue], self.bits[n + ue], self._frame_s, qp)
         q_bt, q_combined = self._scores[ue]
         delta = q_combined - q_before
         self.step_count += 1
@@ -275,36 +271,39 @@ class SchedulingEnv:
         keys mean children with equal futures.
 
         A step marks the action's stored first fit, adds its bits to the
-        active user's slot for its tier and counts it there; the rest of what it changes (the
-        served flag, the rotation, the next active user) follows from those
-        fields and the trial's constants.  So a key holds the fields just
-        after that add, with the cursor as the parent holds it.  The counts
-        sum to the depth, so children of different depths never share a
-        key.  Of the grid, a key holds the child's live cells
-        (``grid.live_cells``) and its free-cell count, which
-        ``_bt_hopeless`` reads.  First fits, and so the mask, read only free
-        windows, which lie inside the live cells, and a cell that is not
-        live never becomes live again: children that differ only in such
-        dead cells, or in who owns a cell, have the same future.  The bits
-        enter as their float64 bytes, unrounded, and the serving flags one
-        byte each.  Every part but the rotation, which comes last, has a
+        active user's slot for its tier and counts it there; the rest of
+        what it changes (the serving flag, the rotation, the next active
+        user) follows from those fields, the parent's rotation and the
+        trial's constants.  So a key holds the grid, bits and counts just
+        after that add, and the rotation as the parent holds it.  The
+        serving flags and the parent's cursor are left out, since they
+        follow from these too: a user is served exactly when its base-tier
+        bits are positive and reach its minimum QoE (``step`` sets the flag
+        at that step, and those bits never change after it); the parent is
+        in the enhancement tier exactly when its rotation is non-empty, and
+        acts there for the rotation's head; in the base tier it acts for the
+        last user in serving order with a base-tier placement in the
+        child's counts, since later users have none yet.  The counts sum to
+        the depth, so children of different depths never share a key.  Of
+        the grid, a key holds the child's live cells (``grid.live_cells``)
+        and its free-cell count, which ``_bt_hopeless`` reads.  First fits,
+        and so the mask, read only free windows, which lie inside the live
+        cells, and a cell that is not live never becomes live again:
+        children that differ only in such dead cells, or in who owns a
+        cell, have the same future.  The bits enter as their float64 bytes,
+        unrounded.  Every part but the rotation, which comes last, has a
         fixed length per trial.
         """
         ue = self._active
-        et = self.phase == Tier.ET
         n_freq, n_time = self.occupancy.code.shape
         n_bytes = (n_freq * n_time + 7) // 8
         free = self.occupancy.free
         n_free = free.bit_count()
         plans = self._live_plans
-        ints = [*self.counts, et, ue, *self._et_rotation]
+        ints = [*self.counts, *self._et_rotation]
         slot = self._slot(ue, self.phase)
         ints[slot] += 1
-        shared = b"".join((
-            array("d", self.bits).tobytes(),
-            bytes(self.served),
-            array("q", ints).tobytes(),
-        ))
+        shared = array("d", self.bits).tobytes() + array("q", ints).tobytes()
         # each child's own bits for the acting user go in the gap
         before, after = shared[: 8 * slot], shared[8 * slot + 8 :]
         bits = self.bits[slot]
@@ -409,13 +408,13 @@ class SchedulingEnv:
         """The ``total_bound()`` of the child that ``step`` would make from
         this live state by each of ``actions``, without a clone or a step.
 
-        It reads the fields ``child_keys`` reads, just after the step's add:
-        the acting user's bits with the action's bits added (the same float
-        add), its count plus one, the free count less the shape's cells and,
-        in the base tier, its served flag from the base-tier QoE test
-        ``step`` applies.  The phase is the parent's: a step leaves the base
-        tier only once every user is served, and then the bound reads no
-        phase.  So a child that stays live has this bound bit for bit, and a
+        It reads the child's fields just after the step's add, as
+        ``child_keys`` does: the acting user's bits with the action's bits
+        added (the same float add), its count plus one, the free count less
+        the shape's cells and, in the base tier, its served flag from the
+        base-tier QoE test ``step`` applies.  The phase is the parent's: a
+        step leaves the base tier only once every user is served, and then
+        the bound reads no phase.  So a child that stays live has this bound bit for bit, and a
         terminal child, whose fields are the same, a total no higher.
         """
         ue = self._active
@@ -467,7 +466,7 @@ class SchedulingEnv:
             if bt <= 0.0:
                 continue
             et += min(free, (cap - counts[n + ue]) * largest) * cell_bits
-            q_bt, q = ue_scores(*ue_rates(bt, et, frame_s, qp), qp)
+            q_bt, q = ue_scores(bt, et, frame_s, qp)
             slack = BOUND_SLACK * (abs(q_bt) + abs(q) + abs(qp.a) + abs(qp.b))
             if unserved and q_bt + slack < qp.min_qoe:
                 continue

@@ -187,23 +187,6 @@ class BwpAllocation:
     time_offset_units: int
     freq_offset_units: int
 
-    @property
-    def time_end(self) -> int:
-        return self.time_offset_units + self.shape.time_len_units
-
-    @property
-    def freq_end(self) -> int:
-        return self.freq_offset_units + self.shape.freq_width_units
-
-
-def allocations_overlap(a: BwpAllocation, b: BwpAllocation) -> bool:
-    return (
-        a.time_offset_units < b.time_end
-        and b.time_offset_units < a.time_end
-        and a.freq_offset_units < b.freq_end
-        and b.freq_offset_units < a.freq_end
-    )
-
 
 def validate_allocation_set(allocations: list[BwpAllocation], dims: GridDims) -> bool:
     """True iff every allocation is in bounds and no two overlap: each

@@ -198,9 +198,6 @@ class QNetwork:
                 params[name] = rng.uniform(-bound, bound, size=shape).astype(DTYPE)
         return params
 
-    def n_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
-
     # ---------- forward ----------
 
     def forward(

@@ -5,8 +5,13 @@ explores feasible action sequences by depth-first search over cloned
 environments and returns the terminal state with the highest total QoE.
 Two sequences often reach states with the same future: the same live
 cells (the free cells some shape could still use), free-cell count, bits,
-counts and cursor.  So the environment keys each child from its parent
-and action before it is made (``SchedulingEnv.child_keys``), and only a
+counts and enhancement-tier rotation.  The serving flags and the cursor
+follow from these: a user is served exactly when its base-tier bits reach
+its minimum QoE, the rotation is empty until the enhancement tier starts
+and names its active user there, and in the base tier the active user is
+the last in serving order with a base-tier placement.  So the environment
+keys each child from its parent and action before it is made
+(``SchedulingEnv.child_keys``), and only a
 child whose key is new can be cloned, stepped and searched: a repeated
 child costs no clone and no step.  The environment also bounds each new
 child's total from its parent before it is made

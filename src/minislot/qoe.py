@@ -66,29 +66,23 @@ def base_tier_qoe(bt: float, frame_duration_s: float, params: QoeParams) -> floa
     return qoe_fn(effective_rate(bt, frame_duration_s, params.bt_coverage_deg2), params)
 
 
-def ue_rates(
+def ue_scores(
     bt: float, et: float, frame_duration_s: float, params: QoeParams
 ) -> tuple[float, float]:
-    """(base-tier, total) effective rate of one user's base-tier bits ``bt``
-    and enhancement-tier bits ``et`` per frame."""
-    bt_rate = effective_rate(bt, frame_duration_s, params.bt_coverage_deg2)
-    if et <= 0.0:
-        return bt_rate, bt_rate
-    return bt_rate, bt_rate + effective_rate(et, frame_duration_s, params.et_coverage_deg2)
-
-
-def ue_scores(bt_rate: float, total_rate: float, params: QoeParams) -> tuple[float, float]:
-    """(base-tier QoE, combined QoE) of one user at the given effective rates."""
-    q_bt = qoe_fn(bt_rate, params)
-    return q_bt, combined_qoe(q_bt, qoe_fn(total_rate, params), params.fov_prob)
+    """(base-tier QoE, combined QoE) of one user's base-tier bits ``bt`` and
+    enhancement-tier bits ``et`` per frame."""
+    base = effective_rate(bt, frame_duration_s, params.bt_coverage_deg2)
+    total = base
+    if et > 0.0:
+        total += effective_rate(et, frame_duration_s, params.et_coverage_deg2)
+    q_bt = qoe_fn(base, params)
+    return q_bt, combined_qoe(q_bt, qoe_fn(total, params), params.fov_prob)
 
 
 @dataclass(frozen=True)
 class QoeReport:
     """Evaluated QoE for one user under a concrete allocation."""
 
-    bt_rate: float  # effective base-tier rate, bits/s/deg^2
-    total_rate: float  # base plus enhancement effective rate
     q_bt: float
     q_combined: float
     served: bool
@@ -112,19 +106,6 @@ def evaluate_ue(
     instead of raising, so plan evaluation stays total.
     """
     if bt <= 0.0:
-        return QoeReport(
-            bt_rate=0.0,
-            total_rate=0.0,
-            q_bt=math.nan,
-            q_combined=math.nan,
-            served=False,
-        )
-    bt_rate, total = ue_rates(bt, et, frame_duration_s, params)
-    q_bt, q_comb = ue_scores(bt_rate, total, params)
-    return QoeReport(
-        bt_rate=bt_rate,
-        total_rate=total,
-        q_bt=q_bt,
-        q_combined=q_comb,
-        served=q_bt >= params.min_qoe,
-    )
+        return QoeReport(q_bt=math.nan, q_combined=math.nan, served=False)
+    q_bt, q_comb = ue_scores(bt, et, frame_duration_s, params)
+    return QoeReport(q_bt=q_bt, q_combined=q_comb, served=q_bt >= params.min_qoe)

@@ -1,4 +1,4 @@
-"""Millimetre-wave link budget: path gain, per-user SNR and BWP rates.
+"""Millimetre-wave link budget: path gain, per-user SNR and spectral efficiency.
 
 Antenna gains are given in dBi and power spectral densities in dBm/Hz; all
 arithmetic happens in linear units.  The transmit PSD carries an explicit
@@ -99,13 +99,6 @@ def snr(link: LinkParams, channel_power_gain: float, ue_psd_w_hz: float) -> floa
         * ue_psd_w_hz
         / link.noise_psd_w_hz
     )
-
-
-def bwp_rate_bits(area_shz: float, snr_linear: float) -> float:
-    """Bits a BWP of the given time-bandwidth area carries in one frame."""
-    if area_shz < 0:
-        raise ValueError(f"area_shz must be non-negative, got {area_shz}")
-    return area_shz * math.log2(1.0 + snr_linear)
 
 
 @dataclass(frozen=True)

@@ -179,10 +179,12 @@ def run_eval(
     manifest = _manifest(config, command)
     if ORACLE in methods:
         tasks = [(config, trial) for trial in range(n_trials)]
-        if jobs > 1:
+        # a pool starts all its workers at once: no more than the trials
+        workers = min(jobs, n_trials)
+        if workers > 1:
             # imported here, or every run would load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 searched = list(pool.map(_oracle_trial, tasks))
         else:
             searched = [_oracle_trial(t) for t in tasks]

@@ -25,7 +25,7 @@ from minislot.net import GRID_CHANNELS, QNetwork, default_net_config, gradient_c
 from minislot.oracle import oracle_best_plan
 from minislot.outputs import moving_average
 from minislot.qoe import effective_rate, qoe_fn
-from minislot.radio import LinkParams, LinkState, bwp_rate_bits
+from minislot.radio import LinkParams, LinkState
 from minislot.runner import DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, run_eval, run_train
 from minislot.scenario import default_config, sample_scenario, scenario_for_trial, tiny_config
 
@@ -152,7 +152,7 @@ def test_criterion_03_link_budget():
 
     state = LinkState.for_distance(link, 200.0, 4)
     dims = derive_grid(GridSpec(4, 6, 0.0625, 69120.0))
-    bits = bwp_rate_bits(8 * dims.rb_size_shz, state.snr_linear)
+    bits = 8 * dims.rb_size_shz * state.spectral_efficiency
 
     ok = (
         abs(state.snr_linear - hand_snr) / hand_snr < 1e-12

@@ -46,6 +46,16 @@ def test_missing_command_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "baseline", "oracle"])
+def test_seed_is_a_train_option(command, capsys):
+    """Only training draws from the training seed, so no other command
+    takes one."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_train_writes_artifacts(trained, capsys):
     assert sorted(os.listdir(trained)) == ["checkpoint.npz", "manifest.json", "training.csv"]
     manifest = json.loads((trained / "manifest.json").read_text())
@@ -204,6 +214,11 @@ def test_counts_below_one_fail_cleanly(
         ({"MINISLOT_SCENARIO__NUMEROLOGY_SET": "[1, 2.5]"}, "numerology_set[1] must be int"),
         ({"MINISLOT_TRAIN__SEED": "-1"}, "seed must be non-negative, got -1"),
         ({"MINISLOT_SCENARIO__RNG_SEED": "-5"}, "rng_seed must be non-negative, got -5"),
+        # a 1.33 EiB minibatch buffer: the allocation fails at once anywhere
+        (
+            {"MINISLOT_TRAIN__BATCH_SIZE": str(10**15), "MINISLOT_TRAIN__REPLAY_CAPACITY": str(10**15)},
+            "Unable to allocate",
+        ),
     ],
 )
 def test_bad_train_overrides_fail_cleanly(environ, message, tmp_path, monkeypatch, capsys):

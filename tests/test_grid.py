@@ -8,7 +8,6 @@ from minislot.grid import (
     GridSpec,
     Occupancy,
     Tier,
-    allocations_overlap,
     bwp_shape,
     derive_grid,
     validate_allocation_set,
@@ -88,11 +87,13 @@ def _alloc(ue, tier, shape, t, f):
 
 
 def test_overlap_detection():
+    """The placement check refuses one shared cell and accepts neighbours."""
+    dims = derive_grid(DEFAULT)
     s = bwp_shape(4, 2, DEFAULT)  # 8 x 1
     a = _alloc(0, Tier.BT, s, 0, 0)
-    assert allocations_overlap(a, _alloc(1, Tier.BT, s, 7, 0))
-    assert not allocations_overlap(a, _alloc(1, Tier.BT, s, 8, 0))  # edge-adjacent
-    assert not allocations_overlap(a, _alloc(1, Tier.BT, s, 0, 1))  # other row
+    assert not validate_allocation_set([a, _alloc(1, Tier.BT, s, 7, 0)], dims)
+    assert validate_allocation_set([a, _alloc(1, Tier.BT, s, 8, 0)], dims)  # edge-adjacent
+    assert validate_allocation_set([a, _alloc(1, Tier.BT, s, 0, 1)], dims)  # other row
 
 
 def test_validate_allocation_set():

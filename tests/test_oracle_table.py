@@ -29,15 +29,18 @@ KEY_FIELDS = SchedulingEnv.KEY_FIELDS
 # SchedulingEnv attributes the key leaves out
 NOT_KEYED = {
     # fixed per config
-    "config", "reward_params", "dims", "action_set", "shapes", "n_actions",
+    "config", "reward_params", "dims", "shapes", "n_actions",
     "aux_dim", "_largest_area", "_frame_s", "_live_plans",
     # fixed per trial: the scenario, the serving order, the bits each
     # action adds for each user and the bits one cell gives each user
     "profiles", "order", "_added_bits", "_cell_bits",
     # derived: the mask and each action's first fit from the grid and
-    # cursor, each user's scores from its bits, the step count is the sum
-    # of the per-tier counts
-    "_mask", "_fits", "_scores", "step_count",
+    # cursor, each user's scores and serving flag from its bits, the step
+    # count is the sum of the per-tier counts, the phase is the enhancement
+    # tier exactly when the rotation is non-empty, and the active user is
+    # the rotation's head there, else the last user in serving order with
+    # a base-tier placement (test_properties.py checks these on every step)
+    "_mask", "_fits", "_scores", "step_count", "served", "phase", "_active",
     # records of the past, which no later step reads; a user is excluded
     # from the base tier only on the step that ends the episode, so the
     # exclusion flags are all False in every live state
@@ -106,10 +109,7 @@ PERTURB = [
     ("bits", lambda e: _more_bits(e, Tier.ET)),
     ("counts", lambda e: _one_more_placement(e, Tier.BT)),
     ("counts", lambda e: _one_more_placement(e, Tier.ET)),
-    ("served", lambda e: e.served.__setitem__(1, not e.served[1])),
-    ("phase", lambda e: setattr(e, "phase", Tier.ET if e.phase == Tier.BT else Tier.BT)),
     ("_et_rotation", lambda e: e._et_rotation.append(0)),
-    ("_active", lambda e: setattr(e, "_active", _other(e))),
 ]
 
 
@@ -122,6 +122,12 @@ def test_every_key_field_changes_the_key():
             perturb(other)
             for a, b in zip(base, keys(other), strict=True):
                 assert a != b, (i, name)
+
+
+def test_tiny_key_at_reset_is_84_bytes():
+    # 16 B of live cells, a 4 B free count, then 8 B for each of the two
+    # users' two bits and two counts; the base tier has no rotation yet
+    assert {len(key) for key in keys(live_states()[0])} == {84}
 
 
 def test_key_ignores_owners():
@@ -393,13 +399,15 @@ def live(env):
 
 def future(env):
     """What decides ``env``'s future and its total: the ``KEY_FIELDS``,
-    the grid as its live cells and free-cell count, whether it is done and
-    how, and, while it is live, each action's first fit and the mask.  A
-    done state's fits and mask are its parent's, which no step reads."""
+    the grid as its live cells and free-cell count, the serving flags and
+    cursor the key leaves out as derived, whether it is done and how, and,
+    while it is live, each action's first fit and the mask.  A done
+    state's fits and mask are its parent's, which no step reads."""
     fields = [
         (live(env), env.occupancy.free_units()) if name == "occupancy" else getattr(env, name)
         for name in KEY_FIELDS
     ]
+    fields += [env.served, env.phase, env._active]
     fields += [env.done, env.outcome, env.total_qoe()]
     if not env.done:
         fields += [env._fits, env._mask.tolist()]

@@ -20,12 +20,11 @@ from minislot.grid import (
     GridSpec,
     Occupancy,
     Tier,
-    allocations_overlap,
     live_cells,
     live_plans,
     validate_allocation_set,
 )
-from minislot.qoe import evaluate_ue, ue_rates, ue_scores
+from minislot.qoe import base_tier_qoe, evaluate_ue, ue_scores
 from minislot.scenario import scenario_for_trial, tiny_config
 
 # hypothesis's explain phase can crash on a failing st.data() example and
@@ -67,14 +66,23 @@ def small_configs(draw):
     )
 
 
+def ends(a: BwpAllocation) -> tuple[int, int]:
+    """(time, frequency) unit one past a placement's last cell."""
+    return (
+        a.time_offset_units + a.shape.time_len_units,
+        a.freq_offset_units + a.shape.freq_width_units,
+    )
+
+
 def reference_codes(allocations, dims) -> np.ndarray:
     """Paint the placement log onto a fresh grid, checking each placement
     is in bounds and overlaps no earlier one."""
     grid = np.zeros((dims.n_freq_units, dims.n_time_units), dtype=np.int64)
     for a in allocations:
-        assert 0 <= a.time_offset_units and a.time_end <= dims.n_time_units
-        assert 0 <= a.freq_offset_units and a.freq_end <= dims.n_freq_units
-        cells = grid[a.freq_offset_units : a.freq_end, a.time_offset_units : a.time_end]
+        time_end, freq_end = ends(a)
+        assert 0 <= a.time_offset_units and time_end <= dims.n_time_units
+        assert 0 <= a.freq_offset_units and freq_end <= dims.n_freq_units
+        cells = grid[a.freq_offset_units : freq_end, a.time_offset_units : time_end]
         assert not cells.any(), "placements overlap"
         cells[:] = 1 + 2 * a.ue_index + (1 if a.tier == Tier.ET else 0)
     return grid
@@ -93,23 +101,34 @@ def check_invariants(env: SchedulingEnv) -> None:
             bits[Tier.BT], bits[Tier.ET], env.config.frame_duration_s, profile.qoe
         )
         assert env.served[ue] == report.served
-        # the kept scores are the scores of the user's bits as they stand
+        # the serving flag follows from the kept base-tier bits alone, which
+        # lets the oracle's key leave it out
         qp = profile.qoe
         n = env.config.n_ues
-        if env.bits[ue] > 0.0:
-            rates = ue_rates(env.bits[ue], env.bits[n + ue], env.config.frame_duration_s, qp)
-            assert env._scores[ue] == ue_scores(*rates, qp)
+        frame_s = env.config.frame_duration_s
+        bt = env.bits[ue]
+        assert env.served[ue] == (bt > 0.0 and base_tier_qoe(bt, frame_s, qp) >= qp.min_qoe)
+        # the kept scores are the scores of the user's bits as they stand
+        if bt > 0.0:
+            assert env._scores[ue] == ue_scores(bt, env.bits[n + ue], frame_s, qp)
         else:
             assert env._scores[ue] == (-math.inf, 0.0)
     code = env.occupancy.code
     assert env.occupancy.free_units() == code.size - np.count_nonzero(code)
     if env.done:
         return
-    # the base tier serves users in order, each until it is served
-    if env.phase == Tier.BT:
-        ahead = env.order[: env.order.index(env.active_ue)]
-        assert all(env.served[ue] for ue in ahead)
-        assert not env.served[env.active_ue]
+    # the phase and the active user follow from the rotation and the
+    # counts, which lets the oracle's key leave them out: the rotation is
+    # filled when the enhancement tier starts and its head acts; the base
+    # tier serves users in order, each until it is served, and no user
+    # after the active one has a base-tier placement yet
+    assert (env.phase == Tier.ET) == bool(env._et_rotation)
+    if env.phase == Tier.ET:
+        assert env.active_ue == env._et_rotation[0]
+    else:
+        at = env.order.index(env.active_ue)
+        assert env.active_ue == next(ue for ue in env.order if not env.served[ue])
+        assert not any(env.counts[ue] for ue in env.order[at + 1 :])
     # the fit kept for each feasible action is the first fit on the grid
     # as it stands, where step() will place it
     for action in np.flatnonzero(env.feasible_actions()):
@@ -248,8 +267,8 @@ def allocation_sets(draw):
         where = draw(st.sampled_from(["inside", "against", "against", "anywhere"]))
         if where == "against" and allocations:
             other = draw(st.sampled_from(allocations))
-            t0, t1 = other.time_offset_units, other.time_end
-            f0, f1 = other.freq_offset_units, other.freq_end
+            t0, f0 = other.time_offset_units, other.freq_offset_units
+            t1, f1 = ends(other)
             t = draw(st.sampled_from([t0 - tl, t0 - tl + 1, t0, t1 - 1, t1]))
             f = draw(st.sampled_from([f0 - fw, f0 - fw + 1, f0, f1 - 1, f1, 0, n_freq - fw]))
             t, f = min(max(t, 0), n_time - tl), min(max(f, 0), n_freq - fw)
@@ -261,17 +280,26 @@ def allocation_sets(draw):
     return GridDims(n_time_units=n_time, n_freq_units=n_freq, rb_size_shz=1.0), allocations
 
 
+def overlap(a: BwpAllocation, b: BwpAllocation) -> bool:
+    """Whether two placements share a cell."""
+    (a_time_end, a_freq_end), (b_time_end, b_freq_end) = ends(a), ends(b)
+    return (
+        a.time_offset_units < b_time_end
+        and b.time_offset_units < a_time_end
+        and a.freq_offset_units < b_freq_end
+        and b.freq_offset_units < a_freq_end
+    )
+
+
 def pairwise_valid(allocations, dims) -> bool:
     in_bounds = all(
         a.time_offset_units >= 0
         and a.freq_offset_units >= 0
-        and a.time_end <= dims.n_time_units
-        and a.freq_end <= dims.n_freq_units
+        and ends(a)[0] <= dims.n_time_units
+        and ends(a)[1] <= dims.n_freq_units
         for a in allocations
     )
-    return in_bounds and not any(
-        allocations_overlap(a, b) for a, b in combinations(allocations, 2)
-    )
+    return in_bounds and not any(overlap(a, b) for a, b in combinations(allocations, 2))
 
 
 # the top row of one column and the bottom row of the next are neighbours

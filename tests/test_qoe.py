@@ -72,8 +72,6 @@ def test_evaluate_ue_with_enhancement_tier():
     report = evaluate_ue(2.0e5, 1.0e5, frame_s, p)
     bt_rate = 2.0e5 / (frame_s * p.bt_coverage_deg2)
     et_rate = 1.0e5 / (frame_s * p.et_coverage_deg2)
-    assert report.bt_rate == pytest.approx(bt_rate, rel=1e-12)
-    assert report.total_rate == pytest.approx(bt_rate + et_rate, rel=1e-12)
     expected = 0.3 * math.log(bt_rate) + 0.7 * math.log(bt_rate + et_rate)
     assert report.q_combined == pytest.approx(expected, rel=1e-12)
 

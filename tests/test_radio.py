@@ -6,7 +6,6 @@ from minislot.grid import GridSpec, bwp_shape, derive_grid
 from minislot.radio import (
     LinkParams,
     LinkState,
-    bwp_rate_bits,
     db_to_linear,
     dbm_per_hz_to_w_per_hz,
     path_gain,
@@ -70,10 +69,10 @@ def test_eight_rb_bwp_bits_per_frame():
     shape = bwp_shape(5, 2, spec)  # area 8 RBs
     assert shape.area_units == 8
     state = LinkState.for_distance(LinkParams(), 200.0, 4)
-    bits = bwp_rate_bits(shape.area_shz(dims), state.snr_linear)
+    bits = shape.area_shz(dims) * state.spectral_efficiency
     assert bits == pytest.approx(44.0, rel=5e-3)
     # additivity: same area split into single RBs carries the same payload
-    per_rb = bwp_rate_bits(dims.rb_size_shz, state.snr_linear)
+    per_rb = dims.rb_size_shz * state.spectral_efficiency
     assert bits == pytest.approx(8 * per_rb, rel=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_per_frame_equals_rate_times_duration():
     bandwidth_hz = shape.freq_width_units * spec.db_min_khz * 1e3
     time_s = shape.time_len_units * spec.dt_min_ms * 1e-3
     direct = bandwidth_hz * time_s * state.spectral_efficiency
-    assert bwp_rate_bits(shape.area_shz(dims), state.snr_linear) == pytest.approx(
+    assert shape.area_shz(dims) * state.spectral_efficiency == pytest.approx(
         direct, rel=1e-12
     )
     assert time_s <= frame_s

@@ -1,6 +1,8 @@
 """The library's entry points: each refuses empty work before it writes
-anything, and evaluation draws each trial once for every method it runs."""
+anything, evaluation draws each trial once for every method it runs, and
+the oracle starts no more workers than trials."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -96,3 +98,30 @@ def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
         ]
     expected.sort(key=lambda r: (r["trial"], r["method"]))
     assert rows == expected
+
+
+@pytest.mark.parametrize("trials, pools", [(2, [2]), (1, [])])
+def test_oracle_workers_never_outnumber_trials(trials, pools, monkeypatch, tmp_path):
+    """A pool starts all its workers at once, so ``jobs`` is capped at the
+    trial count, and one trial is searched in this process.  The stand-in
+    pool records its size and maps here: no process is started."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    config = tiny_experiment(n_eval_trials=trials)
+    rows = run_eval(config, str(tmp_path / "pooled"), methods=(ORACLE,), jobs=10**6)
+    assert made == pools
+    assert rows == run_eval(config, str(tmp_path / "serial"), methods=(ORACLE,))
