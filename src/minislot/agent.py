@@ -221,21 +221,19 @@ def _td_targets(
     grids: np.ndarray,
 ) -> np.ndarray:
     """Reward, widened to float64, plus the discounted best feasible
-    next-state Q of live rows.
+    next-state Q of live rows; a done row gets no add at all.
 
-    ``grids`` (float32, at least B x 3 x F x T) receives the live rows'
-    observation channels.
+    ``grids`` (float32, at least B x 3 x F x T) receives the next states'
+    observation channels.  The target network runs on every row, as no
+    row's Q-values depend on the others (see ``minislot.net``).
     """
     targets = batch["reward"].astype(np.float64)
     live = ~batch["done"]
-    if live.any():
-        q_next = net.forward(
-            target_params,
-            expand_cells(batch["next_cell"][live], n_ues, out=grids),
-            batch["next_aux"][live],
-        )
-        q_next = np.where(batch["next_mask"][live], q_next, -np.inf)
-        targets[live] += discount * q_next.max(axis=1)
+    q_next = net.forward(
+        target_params, expand_cells(batch["next_cell"], n_ues, out=grids), batch["next_aux"]
+    )
+    best = np.where(batch["next_mask"], q_next, -np.inf).max(axis=1)
+    targets[live] += discount * best[live]
     return targets
 
 

@@ -99,9 +99,9 @@ def expand_cells(
 
 
 # attribute types clone() copies instead of sharing (tuples, the per-trial
-# constants, are shared); an exact-type set lookup keeps the copy cheap (the
-# oracle clones once per search node)
-_COPIED_TYPES = frozenset((np.ndarray, list, Occupancy))
+# constants and the mask, are shared); an exact-type set lookup keeps the
+# copy cheap (the oracle clones once per search node)
+_COPIED_TYPES = frozenset((list, Occupancy))
 
 # (base-tier QoE, combined QoE) of a user with no base-tier bits: 0 stands
 # in for the undefined combined QoE so QoE deltas are well defined from the
@@ -149,7 +149,7 @@ class SchedulingEnv:
             self.dims.n_freq_units, self.dims.n_time_units, self.shapes
         )
         self.aux_dim = 5 * config.n_ues + 2
-        self.profiles: list[UeProfile] = []
+        self.profiles: tuple[UeProfile, ...] = ()
         self.done = True
         self.outcome: str | None = None
 
@@ -162,7 +162,7 @@ class SchedulingEnv:
             raise ValueError(
                 f"scenario has {len(profiles)} users, config expects {cfg.n_ues}"
             )
-        self.profiles = profiles
+        self.profiles = profiles = tuple(profiles)  # clones share it; callers cannot edit it
         n = cfg.n_ues
 
         self.occupancy = Occupancy(self.dims)
@@ -193,7 +193,7 @@ class SchedulingEnv:
         self.phase = Tier.BT
         self._et_rotation: list[int] = []
         self._active: int | None = None
-        self._mask = np.zeros(self.n_actions, dtype=bool)
+        self._mask = (False,) * self.n_actions
         # each action's first fit on the grid the mask was built on
         self._fits: tuple[tuple[int, int] | None, ...] = ()
 
@@ -211,7 +211,7 @@ class SchedulingEnv:
         """Boolean mask over the action set for the current cursor."""
         if self.done:
             raise RuntimeError("episode already terminated")
-        return self._mask.copy()
+        return np.array(self._mask)
 
     def step(self, action_index: int) -> tuple[float, bool]:
         """Place one BWP for the active user; returns (reward, done)."""
@@ -369,14 +369,14 @@ class SchedulingEnv:
 
     def _mask_detail(
         self, ue: int, tier: Tier
-    ) -> tuple[np.ndarray, tuple[tuple[int, int] | None, ...], bool, bool]:
+    ) -> tuple[tuple[bool, ...], tuple[tuple[int, int] | None, ...], bool, bool]:
         """(feasible mask, each action's first fit, whether anything is
         placeable ignoring the cap on base-tier QoE, whether anything is
         feasible) for one user and tier."""
-        mask = np.zeros(self.n_actions, dtype=bool)
         cap = self.config.max_bwps_per_ue_tier
         if cap is not None and self.counts[self._slot(ue, tier)] >= cap:
-            return mask, (), False, False
+            return (), (), False, False
+        mask = [False] * self.n_actions
         find_first_fit = self.occupancy.find_first_fit
         fits = tuple(find_first_fit(shape) for shape in self.shapes)
         qp = self.profiles[ue].qoe
@@ -392,7 +392,7 @@ class SchedulingEnv:
                 if q_after > qp.peak_qoe:
                     continue
             mask[i] = feasible = True
-        return mask, fits, placeable, feasible
+        return tuple(mask), fits, placeable, feasible
 
     def total_bound(self) -> float:
         """At least the total QoE of every terminal state below this live
@@ -527,8 +527,8 @@ class SchedulingEnv:
     def clone(self) -> "SchedulingEnv":
         """Independent copy of the live episode (used by exhaustive search).
 
-        Every array, list and grid attribute is copied, whatever ``reset()``
-        set.
+        Every list and grid attribute is copied, whatever ``reset()`` set;
+        tuples, such as the trial's profiles and the mask, are shared.
         """
         other = SchedulingEnv.__new__(SchedulingEnv)
         # dict(), not .copy(): a copy keeps the class's shared-key table,

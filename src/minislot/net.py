@@ -113,7 +113,6 @@ class _Workspace:
         self.patches, self.pre, self.act, self.mask = [], [], [], []
         self.dz, self.dpatches, self.dx = [], [], []
         in_ch, (h, w) = GRID_CHANNELS, (cfg.grid_height, cfg.grid_width)
-        self.grid = empty((rows, in_ch, h, w)) if n_conv else None
         for i, (filters, (ho, wo)) in enumerate(zip(net.filters, net.layer_dims)):
             taps = in_ch * KERNEL * KERNEL
             self.patches.append(empty((rows, ho * wo, taps)))
@@ -158,10 +157,11 @@ class QNetwork:
         h, w = (self.layer_dims or [(config.grid_height, config.grid_width)])[-1]
         channels = self.filters[-1] if self.filters else GRID_CHANNELS
         self.flat_dim = channels * h * w
+        self.grid_dim = GRID_CHANNELS * config.grid_height * config.grid_width
         self.dense_in = self.flat_dim + config.aux_dim
         self._ws: _Workspace | None = None
         # per sample, where each conv's patches (Ho, Wo, C, k, k) sit in its
-        # input as stored: conv0's (C, H, W) grid copy, a later conv's
+        # input as stored: conv0's (C, H, W) input grid, a later conv's
         # (Ho, Wo, F) rectifier output
         self._taps: list[np.ndarray] = []
         in_ch, h, w = GRID_CHANNELS, config.grid_height, config.grid_width
@@ -222,9 +222,9 @@ class QNetwork:
         h = ws.concat[:batch]
         flat = h[:, : self.flat_dim]
         if self.filters:
-            x = ws.grid[:batch]
-            np.copyto(x, grid)
-            x = x.reshape(batch, -1)
+            # conv0's gather reads the grid where it lies, unless it has
+            # another dtype or layout; a grid of another size fails here
+            x = np.ascontiguousarray(grid, ws.dtype).reshape(batch, self.grid_dim)
         else:
             np.copyto(flat.reshape(grid.shape), grid)
         for i, filters in enumerate(self.filters):

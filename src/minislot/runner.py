@@ -109,9 +109,9 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
 
 
 def _oracle_trial(args) -> OracleResult:
-    """The oracle's search of one trial, in the episodes the policy plays."""
-    config, trial = args
-    profiles = scenario_for_trial(config.scenario, trial)
+    """The oracle's search of the trial whose users are ``profiles``, in the
+    episodes the policy plays."""
+    config, profiles = args
     return oracle_best_plan(config.scenario, profiles, config.reward)
 
 
@@ -126,8 +126,9 @@ def run_eval(
 ) -> list[dict]:
     """Evaluate the requested methods on the config's ``n_eval_trials``
     sampled trials, shared by every method; write nothing when a total
-    QoE is not finite or the policy placed no BWP in any trial.  With the
-    oracle, the manifest records each trial's search size as
+    QoE is not finite or the policy placed no BWP in any trial.  ``jobs``
+    sets the oracle's worker processes and must be 1 without the oracle.
+    With the oracle, the manifest records each trial's search size as
     ``oracle_nodes``, and the children it skipped by key and by bound as
     ``oracle_repeats`` and ``oracle_prunes``, each in trial order."""
     if not methods:
@@ -140,6 +141,8 @@ def run_eval(
         raise ValueError(f"evaluation needs at least 1 trial, got {n_trials}")
     if jobs < 1:
         raise ValueError(f"jobs needs at least 1 worker, got {jobs}")
+    if jobs > 1 and ORACLE not in methods:
+        raise ValueError(f"jobs {jobs} sets oracle workers, but no oracle method is asked for")
 
     rows: list[dict] = []
     if DQN in methods:
@@ -155,22 +158,20 @@ def run_eval(
                 f"checkpoint {checkpoint} fits (grid_height, grid_width, aux_dim, "
                 f"n_actions) = {trained}, but this config needs {needed}"
             )
-    # every method but the oracle, whose workers draw their own, sees one
-    # draw of each trial
+    # one draw of each trial serves every method
+    trials = [scenario_for_trial(config.scenario, trial) for trial in range(n_trials)]
     dqn_placed = False
-    if set(methods) - {ORACLE}:
-        for trial in range(n_trials):
-            profiles = scenario_for_trial(config.scenario, trial)
-            if DQN in methods:
-                plan = greedy_rollout(env, net, params, profiles)
-                dqn_placed = dqn_placed or bool(plan.allocations)
-                rows.append(_plan_row(trial, DQN, plan))
-            if EQUAL_BANDWIDTH in methods:
-                plan = equal_bandwidth_plan(config.scenario, profiles)
-                rows.append(_plan_row(trial, EQUAL_BANDWIDTH, plan))
-            if EQUAL_TIME_FREQUENCY in methods:
-                plan = equal_time_frequency_plan(config.scenario, profiles)
-                rows.append(_plan_row(trial, EQUAL_TIME_FREQUENCY, plan))
+    for trial, profiles in enumerate(trials):
+        if DQN in methods:
+            plan = greedy_rollout(env, net, params, profiles)
+            dqn_placed = dqn_placed or bool(plan.allocations)
+            rows.append(_plan_row(trial, DQN, plan))
+        if EQUAL_BANDWIDTH in methods:
+            plan = equal_bandwidth_plan(config.scenario, profiles)
+            rows.append(_plan_row(trial, EQUAL_BANDWIDTH, plan))
+        if EQUAL_TIME_FREQUENCY in methods:
+            plan = equal_time_frequency_plan(config.scenario, profiles)
+            rows.append(_plan_row(trial, EQUAL_TIME_FREQUENCY, plan))
     if DQN in methods and not dqn_placed:
         raise ValueError(
             f"the dqn policy placed no BWP in any of the {n_trials} trials: "
@@ -178,7 +179,7 @@ def run_eval(
         )
     manifest = _manifest(config, command)
     if ORACLE in methods:
-        tasks = [(config, trial) for trial in range(n_trials)]
+        tasks = [(config, profiles) for profiles in trials]
         # a pool starts all its workers at once: no more than the trials
         workers = min(jobs, n_trials)
         if workers > 1:

@@ -194,6 +194,34 @@ def test_td_targets_bootstrap_only_live_rows():
     assert targets[1] == pytest.approx(expected, rel=1e-12)
 
 
+def test_td_targets_of_done_rows_are_their_rewards():
+    """A done row gets no add, not even of zero: an all-done batch gives
+    the rewards widened to float64, and a done row's -0.0 keeps its sign
+    beside a live row."""
+    env, net, params = greedy_fixture()
+    cell, aux = env.compact_observation()
+    live = (cell, aux, env.feasible_actions())
+    terminal = tuple(np.zeros_like(part) for part in live)  # as the buffer stores it
+    grids = np.empty((2, GRID_CHANNELS, *cell.shape), np.float32)
+
+    def targets(second):
+        """A done row of reward -0.0, then a row of 1.5 going to ``second``."""
+        batch = {
+            "reward": np.array([-0.0, 1.5], np.float32),
+            "done": np.array([True, second is terminal]),
+        }
+        for name, first, other in zip(("next_cell", "next_aux", "next_mask"), terminal, second):
+            batch[name] = np.stack([first, other])
+        return _td_targets(net, params, batch, 0.9, env.config.n_ues, grids)
+
+    all_done = targets(terminal)
+    assert all_done.dtype == np.float64
+    assert all_done.tolist() == [0.0, 1.5] and np.signbit(all_done[0])
+    mixed = targets(live)
+    assert mixed[0] == 0.0 and np.signbit(mixed[0])
+    assert mixed[1] != 1.5  # the live row bootstraps
+
+
 def test_short_training_run_produces_well_formed_metrics():
     result = train(tiny_env(), FAST)
     assert len(result.metrics) == FAST.episodes

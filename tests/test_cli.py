@@ -183,6 +183,10 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
         ),
         (["oracle", "--tiny", "--trials", "2", "--jobs", "-2"], {}, None, "at least 1 worker, got -2"),
         (["train", "--tiny", "--seed", "-1"], {}, None, "seed must be non-negative, got -1"),
+        (
+            ["eval", "--tiny", "--trials", "2", "--methods", "equal_bandwidth", "--jobs", "8"],
+            {}, None, "jobs 8 sets oracle workers, but no oracle method is asked for",
+        ),
     ],
 )
 def test_counts_below_one_fail_cleanly(

@@ -284,6 +284,27 @@ def test_clone_is_independent():
         _assert_same(getattr(env, name), value, name)
 
 
+def test_clone_shares_the_profiles_and_mask():
+    env = make_tiny()
+    clone = env.clone()
+    assert clone.profiles is env.profiles
+    assert clone._mask is env._mask
+
+
+def test_caller_edits_do_not_reach_a_running_episode():
+    profiles = scenario_for_trial(tiny_config(), 0)
+    assert profiles[0] != profiles[1]
+    kept = list(profiles)
+    env = SchedulingEnv(tiny_config())
+    env.reset(profiles)
+    profiles.reverse()
+    untouched = SchedulingEnv(tiny_config())
+    untouched.reset(kept)
+    assert env.profiles == untouched.profiles == tuple(kept)
+    assert env.step(LARGE) == untouched.step(LARGE)
+    assert env.plan() == untouched.plan()
+
+
 def test_wrong_profile_count_rejected():
     env = SchedulingEnv(tiny_config())
     with pytest.raises(ValueError):

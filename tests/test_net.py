@@ -83,6 +83,28 @@ def test_forward_shapes_and_single_sample():
         assert net.forward(params, grid[i], aux[i]).tobytes() == q[i : i + 1].tobytes()
 
 
+def test_forward_reads_the_grid_where_it_lies():
+    """A strided view and a float64 copy of a float32 grid give the grid's
+    own Q-value bytes, a training pass leaves the caller's grid as it was,
+    and a grid one column short is refused."""
+    rng = np.random.default_rng(6)
+    net, params = small_net(rng)
+    grid, aux, actions, targets = batch(rng, net)
+    grid = grid.astype(np.float32)
+    wide = np.zeros((*grid.shape[:-1], 2 * grid.shape[-1]), np.float32)
+    wide[..., ::2] = grid
+    view = wide[..., ::2]
+    assert not view.flags.c_contiguous
+    q = net.forward(params, grid, aux).tobytes()
+    assert net.forward(params, view, aux).tobytes() == q
+    assert net.forward(params, grid.astype(np.float64), aux).tobytes() == q
+    before = grid.tobytes()
+    net.loss_and_grads(params, grid, aux, actions, targets)
+    assert grid.tobytes() == before
+    with pytest.raises(ValueError):
+        net.forward(params, grid[..., 1:], aux)
+
+
 def test_conv_dense_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     net, params = small_net(rng)

@@ -410,7 +410,7 @@ def future(env):
     fields += [env.served, env.phase, env._active]
     fields += [env.done, env.outcome, env.total_qoe()]
     if not env.done:
-        fields += [env._fits, env._mask.tolist()]
+        fields += [env._fits, list(env._mask)]
     return fields
 
 

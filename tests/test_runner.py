@@ -1,6 +1,7 @@
-"""The library's entry points: each refuses empty work before it writes
-anything, evaluation draws each trial once for every method it runs, and
-the oracle starts no more workers than trials."""
+"""The library's entry points: each refuses empty work, and oracle
+workers with no oracle, before it writes anything, evaluation draws each
+trial once for every method it runs, and the oracle starts no more
+workers than trials."""
 
 import concurrent.futures
 from dataclasses import replace
@@ -13,6 +14,7 @@ from minislot.agent import greedy_rollout, save_checkpoint
 from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
 from minislot.net import QNetwork, default_net_config
+from minislot.oracle import oracle_best_plan
 from minislot.runner import (
     DQN,
     EQUAL_BANDWIDTH,
@@ -36,6 +38,8 @@ from minislot.scenario import scenario_for_trial
         ({"n_eval_trials": 0}, {"methods": (DQN,)}, "at least 1 trial, got 0"),
         ({}, {"methods": (ORACLE,), "jobs": 0}, "at least 1 worker, got 0"),
         ({}, {"methods": (EQUAL_BANDWIDTH,), "jobs": -1}, "at least 1 worker, got -1"),
+        # jobs sets the oracle's workers, so no oracle allows only 1
+        ({}, {"methods": (EQUAL_BANDWIDTH,), "jobs": 8}, "jobs 8 sets oracle workers, but no"),
     ],
 )
 def test_run_eval_refuses_empty_work(config, kwargs, message, tmp_path):
@@ -57,6 +61,7 @@ def test_run_train_refuses_zero_episodes(tmp_path):
 
 
 def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
+    """One draw of each trial serves every method, the oracle included."""
     config = tiny_experiment(n_eval_trials=3)
     env = build_env(config)
     net = QNetwork(
@@ -77,7 +82,7 @@ def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
     rows = run_eval(
         config,
         str(tmp_path / "out"),
-        methods=(DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY),
+        methods=(DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, ORACLE),
         checkpoint=str(checkpoint),
     )
     assert drawn == [0, 1, 2]
@@ -94,6 +99,9 @@ def test_run_eval_draws_each_trial_once(monkeypatch, tmp_path):
                 trial,
                 EQUAL_TIME_FREQUENCY,
                 equal_time_frequency_plan(config.scenario, profiles),
+            ),
+            _plan_row(
+                trial, ORACLE, oracle_best_plan(config.scenario, profiles, config.reward).plan
             ),
         ]
     expected.sort(key=lambda r: (r["trial"], r["method"]))
