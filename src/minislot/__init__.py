@@ -38,7 +38,7 @@ from .baselines import (
     equal_bandwidth_plan,
     equal_time_frequency_plan,
 )
-from .net import NetConfig, QNetwork, default_net_config, gradient_check
+from .net import NetConfig, QNetwork, default_net_config
 from .agent import (
     TrainConfig,
     TrainResult,

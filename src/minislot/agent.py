@@ -98,13 +98,20 @@ class ReplayBuffer:
     batch drawn, so drawing a minibatch allocates no grids.
     """
 
-    _FIELDS = ("cell", "aux", "action", "reward", "done", "next_cell", "next_aux", "next_mask")
-
     def __init__(self, capacity: int, grid_shape: tuple[int, int], aux_dim: int, n_actions: int):
         self.capacity = capacity
-        self.grid_shape = grid_shape
-        self.aux_dim = aux_dim
-        self.n_actions = n_actions
+        # each field's array attribute: name -> (per-row shape, dtype), in
+        # add's argument order
+        self._fields = {
+            "cell": (grid_shape, np.uint8),
+            "aux": ((aux_dim,), np.float32),
+            "action": ((), np.int16),
+            "reward": ((), np.float32),
+            "done": ((), np.bool_),
+            "next_cell": (grid_shape, np.uint8),
+            "next_aux": ((aux_dim,), np.float32),
+            "next_mask": ((n_actions,), np.bool_),
+        }
         self.size = 0
         self.pos = 0
         self._allocated = 0
@@ -115,32 +122,18 @@ class ReplayBuffer:
         if n <= self._allocated:
             return
         new = min(self.capacity, max(1024, 2 * self._allocated, n))
-        def grow(name, shape, dtype):
+        for name, (shape, dtype) in self._fields.items():
             fresh = np.zeros((new, *shape), dtype)
             if self._allocated:
                 fresh[: self.size] = getattr(self, name)[: self.size]
             setattr(self, name, fresh)
-        grow("cell", self.grid_shape, np.uint8)
-        grow("aux", (self.aux_dim,), np.float32)
-        grow("action", (), np.int16)
-        grow("reward", (), np.float32)
-        grow("done", (), np.bool_)
-        grow("next_cell", self.grid_shape, np.uint8)
-        grow("next_aux", (self.aux_dim,), np.float32)
-        grow("next_mask", (self.n_actions,), np.bool_)
         self._allocated = new
 
     def add(self, cell, aux, action, reward, done, next_cell, next_aux, next_mask):
         self._ensure(self.pos + 1)
-        i = self.pos
-        self.cell[i] = cell
-        self.aux[i] = aux
-        self.action[i] = action
-        self.reward[i] = reward
-        self.done[i] = done
-        self.next_cell[i] = next_cell
-        self.next_aux[i] = next_aux
-        self.next_mask[i] = next_mask
+        row = (cell, aux, action, reward, done, next_cell, next_aux, next_mask)
+        for name, value in zip(self._fields, row):
+            getattr(self, name)[self.pos] = value
         self.pos = (self.pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -154,8 +147,8 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch)
         if len(self._drawn.get("cell", ())) < batch:
             self._drawn = {
-                name: np.empty((batch, *getattr(self, name).shape[1:]), getattr(self, name).dtype)
-                for name in self._FIELDS
+                name: np.empty((batch, *shape), dtype)
+                for name, (shape, dtype) in self._fields.items()
             }
         drawn = {}
         for name, rows in self._drawn.items():

@@ -88,13 +88,11 @@ def expand_cells(
     occupied, owner, tier_et = (out[..., c, :, :] for c in range(3))
     # a free cell is 0; user u's cells are 1 + 2u (base tier), 2 + 2u (ET)
     np.greater(code, 0, out=occupied)
-    np.add(code, 1, out=tier_et, dtype=np.float32)
-    np.multiply(tier_et, 0.5, out=owner)
-    np.floor(owner, out=owner)  # u + 1, or 0 when free
-    tier_et -= owner
-    tier_et -= owner  # (code + 1) mod 2: 1 for ET and free cells
+    # (code + 1) >> 1 is u + 1, or 0 when free; divided in float32, as
+    # float64 would round twice
+    np.divide((code + 1) >> 1, n_ues, out=owner, dtype=np.float32)
+    np.equal(code & 1, 0, out=tier_et)  # even codes: ET and free cells
     tier_et *= occupied
-    owner /= n_ues  # rounded to float32, not computed in float64
     return out
 
 
@@ -108,7 +106,7 @@ _COPIED_TYPES = frozenset((list, Occupancy))
 # first allocation on
 _NO_SCORES = (-math.inf, 0.0)
 
-# relative slack on total_bound, far above the rounding of its few float ops
+# relative slack on _bound, far above the rounding of its few float ops
 BOUND_SLACK = 1e-9
 
 _DOUBLE = Struct("d")  # array("d")'s native float64 layout
@@ -184,7 +182,6 @@ class SchedulingEnv:
             self.dims.rb_size_shz * p.link.spectral_efficiency for p in profiles
         )
         self.allocations: list[BwpAllocation] = []
-        self.step_count = 0
         self.done = False
         self.outcome = None
 
@@ -204,14 +201,16 @@ class SchedulingEnv:
             self.outcome = terminal
 
     @property
-    def active_ue(self) -> int | None:
-        return self._active if not self.done else None
+    def step_count(self) -> int:
+        """Steps taken this episode: each placed one allocation."""
+        return len(self.allocations)
 
-    def feasible_actions(self) -> np.ndarray:
-        """Boolean mask over the action set for the current cursor."""
+    def feasible_actions(self) -> tuple[bool, ...]:
+        """Boolean mask over the action set for the current cursor: the
+        tuple the env holds, which clones share."""
         if self.done:
             raise RuntimeError("episode already terminated")
-        return np.array(self._mask)
+        return self._mask
 
     def step(self, action_index: int) -> tuple[float, bool]:
         """Place one BWP for the active user; returns (reward, done)."""
@@ -243,7 +242,6 @@ class SchedulingEnv:
         self._scores[ue] = ue_scores(self.bits[ue], self.bits[n + ue], self._frame_s, qp)
         q_bt, q_combined = self._scores[ue]
         delta = q_combined - q_before
-        self.step_count += 1
 
         if tier == Tier.BT and q_bt >= qp.min_qoe:
             self.served[ue] = True
@@ -394,18 +392,8 @@ class SchedulingEnv:
             mask[i] = feasible = True
         return tuple(mask), fits, placeable, feasible
 
-    def total_bound(self) -> float:
-        """At least the total QoE of every terminal state below this live
-        state.  Each user gains, per tier it can still be given (the base tier
-        only while unserved in phase BT), its remaining placements times the
-        largest shape's cells, or every free cell if fewer.  It adds 0 if it
-        stays unserved below its minimum even then, never less than 0, and a
-        slack for rounding.  That needs more bits never to lower a QoE, so
-        with a slope ``b`` below 0, or no cap on placements, this is inf."""
-        return self._bound(self.occupancy.free_units(), self.bits, self.counts, self.served)
-
     def child_bounds(self, actions: list[int]) -> list[float]:
-        """The ``total_bound()`` of the child that ``step`` would make from
+        """The bound (``_bound``) of the child that ``step`` would make from
         this live state by each of ``actions``, without a clone or a step.
 
         It reads the child's fields just after the step's add, as
@@ -444,8 +432,15 @@ class SchedulingEnv:
         return [by_area[self.shapes[action].area_units] for action in actions]
 
     def _bound(self, free: int, bits, counts, served) -> float:
-        """``total_bound()`` of a state of this trial and phase with these
-        free-cell count, per-slot bits and counts, and serving flags."""
+        """At least the total QoE of every terminal state below a live state
+        of this trial and phase with these free-cell count, per-slot bits and
+        counts, and serving flags.  Each user gains, per tier it can still be
+        given (the base tier only while unserved in phase BT), its remaining
+        placements times the largest shape's cells, or every free cell if
+        fewer.  It adds 0 if it stays unserved below its minimum even then,
+        never less than 0, and a slack for rounding.  That needs more bits
+        never to lower a QoE, so with a slope ``b`` below 0, or no cap on
+        placements, this is inf."""
         cap = self.config.max_bwps_per_ue_tier
         if cap is None:
             return math.inf

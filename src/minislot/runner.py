@@ -127,8 +127,9 @@ def run_eval(
     """Evaluate the requested methods on the config's ``n_eval_trials``
     sampled trials, shared by every method; write nothing when a total
     QoE is not finite or the policy placed no BWP in any trial.  ``jobs``
-    sets the oracle's worker processes and must be 1 without the oracle.
-    With the oracle, the manifest records each trial's search size as
+    sets the oracle's worker processes and must be 1 without the oracle;
+    ``checkpoint`` is the dqn policy and must be None without dqn.  With
+    the oracle, the manifest records each trial's search size as
     ``oracle_nodes``, and the children it skipped by key and by bound as
     ``oracle_repeats`` and ``oracle_prunes``, each in trial order."""
     if not methods:
@@ -143,6 +144,8 @@ def run_eval(
         raise ValueError(f"jobs needs at least 1 worker, got {jobs}")
     if jobs > 1 and ORACLE not in methods:
         raise ValueError(f"jobs {jobs} sets oracle workers, but no oracle method is asked for")
+    if checkpoint is not None and DQN not in methods:
+        raise ValueError(f"checkpoint {checkpoint} is a dqn policy, but no dqn method is asked for")
 
     rows: list[dict] = []
     if DQN in methods:

@@ -21,13 +21,15 @@ from minislot.baselines import equal_bandwidth_plan, equal_time_frequency_plan
 from minislot.config import tiny_experiment
 from minislot.env import SchedulingEnv
 from minislot.grid import GridSpec, Tier, bwp_shape, derive_grid, validate_allocation_set
-from minislot.net import GRID_CHANNELS, QNetwork, default_net_config, gradient_check
+from minislot.net import GRID_CHANNELS, QNetwork, default_net_config
 from minislot.oracle import oracle_best_plan
 from minislot.outputs import moving_average
 from minislot.qoe import effective_rate, qoe_fn
 from minislot.radio import LinkParams, LinkState
 from minislot.runner import DQN, EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY, run_eval, run_train
 from minislot.scenario import default_config, sample_scenario, scenario_for_trial, tiny_config
+
+from gradcheck import gradient_check
 
 N_EVAL_TRIALS = 200
 

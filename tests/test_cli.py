@@ -187,6 +187,12 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
             ["eval", "--tiny", "--trials", "2", "--methods", "equal_bandwidth", "--jobs", "8"],
             {}, None, "jobs 8 sets oracle workers, but no oracle method is asked for",
         ),
+        # refused before the file is read: it need not exist
+        (
+            ["eval", "--tiny", "--trials", "2", "--methods", "equal_bandwidth",
+             "--checkpoint", "missing.npz"],
+            {}, None, "checkpoint missing.npz is a dqn policy, but no dqn method is asked for",
+        ),
     ],
 )
 def test_counts_below_one_fail_cleanly(

@@ -51,13 +51,13 @@ def test_reset_is_deterministic_and_starts_in_base_tier():
     env.reset(scenario_for_trial(env.config, 0))
     assert list(env.order) == order_one
     assert env.phase == Tier.BT
-    assert env.active_ue == order_one[0]
-    assert env.feasible_actions().all()  # empty grid: everything fits
+    assert env._active == order_one[0]
+    assert all(env.feasible_actions())  # empty grid: everything fits
 
 
 def test_step_reward_is_half_qoe_gain_minus_time_cost():
     env = make_tiny()
-    ue = env.active_ue
+    ue = env._active
     profile = env.profiles[ue]
     shape = env.shapes[LARGE]
     bits = shape.area_shz(env.dims) * profile.link.spectral_efficiency
@@ -70,11 +70,11 @@ def test_step_reward_is_half_qoe_gain_minus_time_cost():
 
 def test_serving_advances_to_next_user():
     env = make_tiny()
-    first = env.active_ue
-    while env.active_ue == first and not env.done:
+    first = env._active
+    while env._active == first and not env.done:
         env.step(LARGE)
     assert env.served[first]
-    assert env.active_ue != first
+    assert env._active != first
     assert env.phase == Tier.BT  # second user still needs its base tier
 
 
@@ -140,10 +140,10 @@ def test_masked_action_rejected():
 
 def test_per_tier_budget_masks_out_actions():
     env = make_tiny()
-    ue = env.active_ue
+    ue = env._active
     env.step(SMALL)
     env.step(SMALL)
-    assert env.active_ue == ue  # 16 cells: still short of service
+    assert env._active == ue  # 16 cells: still short of service
     env.step(LARGE)  # 30 cells: still short, budget now exhausted
     # with the cap spent and the user unserved, the episode must have ended
     assert env.done and env.outcome == "violation"
@@ -184,14 +184,14 @@ def test_enhancement_round_robin_rotates():
     while env.phase == Tier.BT and not env.done:
         env.step(LARGE)
     assert env.phase == Tier.ET
-    first = env.active_ue
+    first = env._active
     env.step(SMALL)
-    assert env.active_ue != first  # rotation moved to the other user
+    assert env._active != first  # rotation moved to the other user
 
 
 def test_cell_code_tracks_owner_and_tier():
     env = make_tiny()
-    ue = env.active_ue
+    ue = env._active
     env.step(LARGE)
     code, _ = env.compact_observation()
     expected = 1 + 2 * ue  # base tier
@@ -209,15 +209,42 @@ def test_expand_cells_channels():
     np.testing.assert_allclose(channels[2], [[0, 0, 1, 0]])  # enhancement flag
 
 
+def float_expand_cells(cell_code: np.ndarray, n_ues: int) -> np.ndarray:
+    """The channels by the float route expand_cells once took: u + 1 as
+    floor((code + 1) / 2), the ET flag as (code + 1) less twice that, and
+    the owner divided in float32."""
+    code = np.asarray(cell_code)
+    out = np.empty(code.shape[:-2] + (3,) + code.shape[-2:], np.float32)
+    occupied, owner, tier_et = (out[..., c, :, :] for c in range(3))
+    np.greater(code, 0, out=occupied)
+    np.add(code, 1, out=tier_et, dtype=np.float32)
+    np.multiply(tier_et, 0.5, out=owner)
+    np.floor(owner, out=owner)
+    tier_et -= owner
+    tier_et -= owner
+    tier_et *= occupied
+    owner /= n_ues
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_expand_cells_equals_the_float_route_for_every_code(dtype):
+    codes = np.arange(255, dtype=dtype).reshape(3, 5, 17)  # every code 0-254
+    for n_ues in range(1, 128):
+        expected = float_expand_cells(codes, n_ues)
+        assert expand_cells(codes, n_ues).tobytes() == expected.tobytes(), n_ues
+        assert expand_cells(codes[1], n_ues).tobytes() == expected[1].tobytes(), n_ues
+
+
 def test_aux_vector_layout():
     env = make_tiny()
     n = env.config.n_ues
     _, aux = env.compact_observation()
     assert aux.shape == (5 * n + 2,)
-    assert aux[4 * n + env.active_ue] == 1.0  # active one-hot
+    assert aux[4 * n + env._active] == 1.0  # active one-hot
     assert aux[5 * n] == 0.0  # base-tier phase
     assert aux[5 * n + 1] == 0.0  # no steps taken
-    ue = env.active_ue
+    ue = env._active
     env.step(LARGE)
     _, aux = env.compact_observation()
     assert aux[4 * ue] > 0.0  # normalized base-tier QoE now present
@@ -269,7 +296,7 @@ def test_clone_is_independent():
     assert vars(clone).keys() == vars(env).keys()
     for name in vars(env):
         _assert_same(getattr(clone, name), getattr(env, name), name)
-    before = clone.feasible_actions().copy()
+    before = clone.feasible_actions()
     env.step(LARGE)
     np.testing.assert_array_equal(clone.feasible_actions(), before)
     assert clone.step_count == env.step_count - 1
@@ -285,10 +312,15 @@ def test_clone_is_independent():
 
 
 def test_clone_shares_the_profiles_and_mask():
+    """The mask is an immutable tuple: clones share it, and
+    feasible_actions() hands it out as it is held."""
     env = make_tiny()
     clone = env.clone()
     assert clone.profiles is env.profiles
     assert clone._mask is env._mask
+    assert isinstance(env._mask, tuple)
+    assert env.feasible_actions() is env._mask
+    assert clone.feasible_actions() is env._mask
 
 
 def test_caller_edits_do_not_reach_a_running_episode():

@@ -8,8 +8,9 @@ from minislot.net import (
     QNetwork,
     clip_global_norm,
     default_net_config,
-    gradient_check,
 )
+
+from gradcheck import gradient_check
 
 
 def small_net(rng):
@@ -51,7 +52,7 @@ def test_conv_output_geometry():
 
 def test_param_shapes_and_count():
     net, params = small_net(np.random.default_rng(0))
-    shapes = net.param_shapes()
+    shapes = net.config.param_shapes()
     assert shapes["conv0/W"] == (3 * 9, 8)
     assert shapes["conv1/W"] == (8 * 9, 16)
     # 8x16 -> 3x7 -> 1x3, 16 filters, plus the 12 aux entries

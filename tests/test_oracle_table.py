@@ -35,12 +35,12 @@ NOT_KEYED = {
     # action adds for each user and the bits one cell gives each user
     "profiles", "order", "_added_bits", "_cell_bits",
     # derived: the mask and each action's first fit from the grid and
-    # cursor, each user's scores and serving flag from its bits, the step
-    # count is the sum of the per-tier counts, the phase is the enhancement
-    # tier exactly when the rotation is non-empty, and the active user is
-    # the rotation's head there, else the last user in serving order with
-    # a base-tier placement (test_properties.py checks these on every step)
-    "_mask", "_fits", "_scores", "step_count", "served", "phase", "_active",
+    # cursor, each user's scores and serving flag from its bits, the phase
+    # is the enhancement tier exactly when the rotation is non-empty, and
+    # the active user is the rotation's head there, else the last user in
+    # serving order with a base-tier placement (test_properties.py checks
+    # these on every step)
+    "_mask", "_fits", "_scores", "served", "phase", "_active",
     # records of the past, which no later step reads; a user is excluded
     # from the base tier only on the step that ends the episode, so the
     # exclusion flags are all False in every live state
@@ -261,11 +261,17 @@ def test_oracle_matches_plain_enumeration_off_the_usual_qoe(qoe, bandwidth_khz):
     assert all((total < 0.0) == (qoe["qoe_a"] < 0.0) for total in totals)
 
 
+def bound(env):
+    """``env``'s bound: ``_bound`` of its own free-cell count, bits, counts
+    and serving flags."""
+    return env._bound(env.occupancy.free_units(), env.bits, env.counts, env.served)
+
+
 def bound_states(config, trial, reward):
     """(bound, best total below) of every live state of plain enumeration,
     and (predicted bound, done, bound or, if done, total) of every child
     of one: what ``child_bounds`` of all the feasible actions predicted,
-    and what the child's ``total_bound()`` or ``total_qoe()`` reads."""
+    and what the child's ``bound`` or ``total_qoe()`` reads."""
     env = SchedulingEnv(config, reward)
     env.reset(profiles=tuple(scenario_for_trial(config, trial)))
     pairs, children = [], []
@@ -278,10 +284,10 @@ def bound_states(config, trial, reward):
         for action, predicted in zip(actions, node.child_bounds(actions), strict=True):
             child = node.clone()
             child.step(action)
-            value = child.total_qoe() if child.done else child.total_bound()
+            value = child.total_qoe() if child.done else bound(child)
             children.append((predicted, child.done, value))
             best = max(best, best_below(child))
-        pairs.append((node.total_bound(), best))
+        pairs.append((bound(node), best))
         return best
 
     best_below(env)

@@ -92,6 +92,8 @@ def check_invariants(env: SchedulingEnv) -> None:
     np.testing.assert_array_equal(
         env.occupancy.code, reference_codes(env.allocations, env.dims)
     )
+    # every step placed one allocation and counted it in one slot
+    assert env.step_count == len(env.allocations) == sum(env.counts)
     for ue, profile in enumerate(env.profiles):
         bits = {Tier.BT: 0.0, Tier.ET: 0.0}
         for a in env.allocations:
@@ -124,10 +126,10 @@ def check_invariants(env: SchedulingEnv) -> None:
     # after the active one has a base-tier placement yet
     assert (env.phase == Tier.ET) == bool(env._et_rotation)
     if env.phase == Tier.ET:
-        assert env.active_ue == env._et_rotation[0]
+        assert env._active == env._et_rotation[0]
     else:
-        at = env.order.index(env.active_ue)
-        assert env.active_ue == next(ue for ue in env.order if not env.served[ue])
+        at = env.order.index(env._active)
+        assert env._active == next(ue for ue in env.order if not env.served[ue])
         assert not any(env.counts[ue] for ue in env.order[at + 1 :])
     # the fit kept for each feasible action is the first fit on the grid
     # as it stands, where step() will place it

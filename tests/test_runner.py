@@ -1,7 +1,7 @@
-"""The library's entry points: each refuses empty work, and oracle
-workers with no oracle, before it writes anything, evaluation draws each
-trial once for every method it runs, and the oracle starts no more
-workers than trials."""
+"""The library's entry points: each refuses empty work, oracle workers
+with no oracle and a checkpoint with no dqn before it writes anything,
+evaluation draws each trial once for every method it runs, and the
+oracle starts no more workers than trials."""
 
 import concurrent.futures
 from dataclasses import replace
@@ -40,6 +40,11 @@ from minislot.scenario import scenario_for_trial
         ({}, {"methods": (EQUAL_BANDWIDTH,), "jobs": -1}, "at least 1 worker, got -1"),
         # jobs sets the oracle's workers, so no oracle allows only 1
         ({}, {"methods": (EQUAL_BANDWIDTH,), "jobs": 8}, "jobs 8 sets oracle workers, but no"),
+        # a checkpoint is read only for dqn, so without dqn it is refused
+        (
+            {}, {"methods": (EQUAL_BANDWIDTH, ORACLE), "checkpoint": "missing.npz"},
+            "checkpoint missing.npz is a dqn policy, but no dqn",
+        ),
     ],
 )
 def test_run_eval_refuses_empty_work(config, kwargs, message, tmp_path):
