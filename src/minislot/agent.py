@@ -179,7 +179,7 @@ def _greedy_action(
     net: QNetwork, params: dict[str, np.ndarray], cell_code, aux, mask, n_ues: int
 ) -> int:
     """The feasible action of highest Q in one observed state."""
-    q = net.forward(params, expand_cells(cell_code, n_ues), aux)[0]
+    q = net.forward(params, expand_cells(cell_code[None], n_ues), aux[None])[0]
     return int(np.argmax(np.where(mask, q, -np.inf)))  # the lowest index on ties
 
 
@@ -200,9 +200,6 @@ class TrainResult:
     net: QNetwork
     params: dict[str, np.ndarray]
     metrics: list[EpisodeMetrics] = field(default_factory=list)
-
-    def rewards(self) -> np.ndarray:
-        return np.array([m.total_reward for m in self.metrics])
 
 
 def _td_targets(

@@ -116,11 +116,6 @@ _COUNT = Struct("I")  # a free-cell count: lattices hold under 2**32 cells
 class SchedulingEnv:
     """Stateful environment; reset() then alternate feasible_actions()/step()."""
 
-    # The attributes that decide what can follow a live state.  Everything
-    # else reset() sets is fixed per trial, derived from these, or a record
-    # of the past (tests/test_oracle_table.py checks the split).
-    KEY_FIELDS = ("occupancy", "bits", "counts", "_et_rotation")
-
     def __init__(
         self,
         config: ScenarioConfig,
@@ -264,9 +259,12 @@ class SchedulingEnv:
         return reward, self.done
 
     def child_keys(self, actions: list[int]) -> list[bytes]:
-        """Keys over ``KEY_FIELDS`` of the children that ``step`` would make
-        from this live state by each of ``actions``, without a step; equal
-        keys mean children with equal futures.
+        """Keys of the children that ``step`` would make from this live state
+        by each of ``actions``, without a step; equal keys mean children with
+        equal futures.  A key holds the four attributes that decide what can
+        follow a live state, ``occupancy``, ``bits``, ``counts`` and
+        ``_et_rotation``; everything else ``reset`` sets is fixed per trial,
+        derived from these, or a record of the past.
 
         A step marks the action's stored first fit, adds its bits to the
         active user's slot for its tier and counts it there; the rest of
@@ -336,61 +334,53 @@ class SchedulingEnv:
         """
         if self.phase == Tier.BT:
             # the base tier serves users in order, each until it is served
-            for ue in self.order:
-                if self.served[ue]:
-                    continue
-                if self._bt_hopeless(ue):
+            ue = next((ue for ue in self.order if not self.served[ue]), None)
+            if ue is None:
+                # every user is served: hand out the enhancement tier
+                # round-robin
+                self.phase = Tier.ET
+                self._et_rotation = list(self.order)
+            elif self._bt_hopeless(ue):
+                return "violation"
+            else:
+                mask, fits = self._mask_detail(ue, Tier.BT)
+                if True not in mask:
+                    # excluded when shapes fit but each would breach the cap
+                    self.bt_excluded[ue] = any(fit is not None for fit in fits)
                     return "violation"
-                mask, fits, placeable, feasible = self._mask_detail(ue, Tier.BT)
-                if not feasible:
-                    if placeable:
-                        # every remaining placement would breach the peak cap
-                        self.bt_excluded[ue] = True
-                    return "violation"
-                self._active = ue
-                self._mask, self._fits = mask, fits
-                return None
-            # base tier complete for everyone (all served, else we'd have
-            # terminated above); hand out enhancement tier round-robin
-            self.phase = Tier.ET
-            self._et_rotation = list(self.order)
-        while self._et_rotation:
-            ue = self._et_rotation[0]
-            mask, fits, _, feasible = self._mask_detail(ue, Tier.ET)
-            if feasible:
-                self._active = ue
-                self._mask, self._fits = mask, fits
-                return None
-            self._et_rotation.pop(0)  # occupancy only grows: drop for good
-        self._active = None
-        return "success"
+        if self.phase == Tier.ET:
+            while self._et_rotation:
+                ue = self._et_rotation[0]
+                mask, fits = self._mask_detail(ue, Tier.ET)
+                if True in mask:
+                    break
+                self._et_rotation.pop(0)  # occupancy only grows: drop for good
+            else:
+                # every user is through both tiers: no cursor, nothing feasible
+                ue, mask, fits = None, (), ()
+        self._active, self._mask, self._fits = ue, mask, fits
+        return "success" if ue is None else None
 
     def _mask_detail(
         self, ue: int, tier: Tier
-    ) -> tuple[tuple[bool, ...], tuple[tuple[int, int] | None, ...], bool, bool]:
-        """(feasible mask, each action's first fit, whether anything is
-        placeable ignoring the cap on base-tier QoE, whether anything is
-        feasible) for one user and tier."""
+    ) -> tuple[tuple[bool, ...], tuple[tuple[int, int] | None, ...]]:
+        """(feasible mask, each action's first fit) for one user and tier;
+        both empty once the user's placements for the tier are capped."""
         cap = self.config.max_bwps_per_ue_tier
         if cap is not None and self.counts[self._slot(ue, tier)] >= cap:
-            return (), (), False, False
-        mask = [False] * self.n_actions
+            return (), ()
         find_first_fit = self.occupancy.find_first_fit
         fits = tuple(find_first_fit(shape) for shape in self.shapes)
+        base_tier = tier == Tier.BT
+        bits = self.bits[ue]
         qp = self.profiles[ue].qoe
-        added_bits = self._added_bits[ue]
-        placeable = feasible = False
-        for i, pos in enumerate(fits):
-            if pos is None:
-                continue
-            placeable = True
-            if tier == Tier.BT:
-                bits = self.bits[ue] + added_bits[i]
-                q_after = base_tier_qoe(bits, self._frame_s, qp)
-                if q_after > qp.peak_qoe:
-                    continue
-            mask[i] = feasible = True
-        return tuple(mask), fits, placeable, feasible
+        # a base-tier placement must also keep the user within its peak
+        mask = tuple(
+            pos is not None
+            and not (base_tier and base_tier_qoe(bits + added, self._frame_s, qp) > qp.peak_qoe)
+            for pos, added in zip(fits, self._added_bits[ue])
+        )
+        return mask, fits
 
     def child_bounds(self, actions: list[int]) -> list[float]:
         """The bound (``_bound``) of the child that ``step`` would make from

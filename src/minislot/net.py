@@ -203,16 +203,13 @@ class QNetwork:
         aux: np.ndarray,
         keep_cache: bool = False,
     ):
-        """Q-values (B, n_actions); optionally also the backward cache.
+        """Q-values (B, n_actions) of a batch of B grids (B, 3, F, T) and aux
+        rows (B, aux_dim); optionally also the backward cache.
 
         The Q-values are a fresh array of the parameters' dtype.  The cache
         points into the workspace and holds until the next ``forward``.
         """
         grid = np.asarray(grid)
-        aux = np.asarray(aux)
-        if grid.ndim == 3:
-            grid = grid[None]
-            aux = aux[None]
         batch = grid.shape[0]
         ws = self._workspace(batch, params["out/W"].dtype)
         h = ws.concat[:batch]

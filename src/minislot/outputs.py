@@ -67,9 +67,8 @@ def moving_average(values: Sequence[float], window: int = MOVING_AVERAGE_WINDOW)
     return out
 
 
-def write_training_csv(path, metrics, window: int = MOVING_AVERAGE_WINDOW) -> None:
-    rewards = [m.total_reward for m in metrics]
-    averages = moving_average(rewards, window)
+def write_training_csv(path, metrics) -> None:
+    averages = moving_average([m.total_reward for m in metrics])
 
     def body(fh):
         writer = csv.writer(fh)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import platform
+from itertools import repeat
 
 import numpy as np
 
@@ -108,10 +109,9 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
     }
 
 
-def _oracle_trial(args) -> OracleResult:
+def _oracle_trial(config: ExperimentConfig, profiles) -> OracleResult:
     """The oracle's search of the trial whose users are ``profiles``, in the
     episodes the policy plays."""
-    config, profiles = args
     return oracle_best_plan(config.scenario, profiles, config.reward)
 
 
@@ -182,16 +182,15 @@ def run_eval(
         )
     manifest = _manifest(config, command)
     if ORACLE in methods:
-        tasks = [(config, profiles) for profiles in trials]
         # a pool starts all its workers at once: no more than the trials
         workers = min(jobs, n_trials)
         if workers > 1:
             # imported here, or every run would load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                searched = list(pool.map(_oracle_trial, tasks))
+                searched = list(pool.map(_oracle_trial, repeat(config), trials))
         else:
-            searched = [_oracle_trial(t) for t in tasks]
+            searched = [_oracle_trial(config, profiles) for profiles in trials]
         rows.extend(_plan_row(trial, ORACLE, r.plan) for trial, r in enumerate(searched))
         manifest["oracle_nodes"] = [r.nodes for r in searched]
         manifest["oracle_repeats"] = [r.repeats for r in searched]

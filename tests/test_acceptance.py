@@ -190,8 +190,7 @@ def test_criterion_04_gradient_check():
 
 
 def test_criterion_05_convergence(default_policy):
-    rewards = default_policy.rewards()
-    ma = moving_average(list(rewards), 50)
+    ma = moving_average([m.total_reward for m in default_policy.metrics], 50)
     first = float(np.mean(ma[:100]))
     last = float(np.mean(ma[-100:]))
     final, peak = ma[-1], max(ma)

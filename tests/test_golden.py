@@ -74,9 +74,10 @@ def build_key() -> tuple[str, str, str, str]:
     return build["python"], build["numpy"], build["blas"]["name"], build["blas"]["version"]
 
 
-def run(command: str, out: Path) -> dict[str, str]:
-    """Run one command into ``out``; the SHA-256 of each file but the manifest."""
-    assert main(COMMANDS[command] + ["--out", str(out)]) == 0
+def run(command: str, out: Path, *options: str) -> dict[str, str]:
+    """Run one command, with any further ``options``, into ``out``; the
+    SHA-256 of each file but the manifest."""
+    assert main(COMMANDS[command] + [*options, "--out", str(out)]) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
@@ -84,8 +85,10 @@ def run(command: str, out: Path) -> dict[str, str]:
     }
 
 
-def test_oracle_artifacts_are_pinned(tmp_path):
-    assert run("oracle", tmp_path) == {"oracle.csv": ORACLE_CSV}
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_oracle_artifacts_are_pinned(jobs, tmp_path):
+    """The same bytes and counts searched in process and by a pool."""
+    assert run("oracle", tmp_path, "--jobs", str(jobs)) == {"oracle.csv": ORACLE_CSV}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert {name: manifest[name] for name in ORACLE_COUNTS} == ORACLE_COUNTS
 

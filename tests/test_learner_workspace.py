@@ -284,8 +284,8 @@ def test_workspace_training_matches_the_allocating_learner(name, tmp_path):
         assert same_bits(params, ref_params), step
         assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v), step
         # acting shares the workspace's first row, and gives the batch's row
-        q = net.forward(params, grid[0], aux[0])
-        assert q.tobytes() == ref.forward(ref_params, grid[0], aux[0]).tobytes()
+        q = net.forward(params, grid[:1], aux[:1])
+        assert q.tobytes() == ref.forward(ref_params, grid[:1], aux[:1]).tobytes()
         assert q.tobytes() == net.forward(params, grid, aux)[:1].tobytes()
     assert 0 < clipped < 25  # both sides of the clip were exercised
 
@@ -301,7 +301,7 @@ def test_returned_q_values_are_not_overwritten():
     kept = q.copy()
     flipped = grid[::-1].copy(), aux[::-1].copy()
     net.forward(params, *flipped)
-    net.forward(params, flipped[0][0], flipped[1][0])
+    net.forward(params, flipped[0][:1], flipped[1][:1])
     net.loss_and_grads(params, *flipped, actions, targets)
     assert q.tobytes() == kept.tobytes()
 

@@ -81,13 +81,14 @@ def test_forward_shapes_and_single_sample():
     assert q.shape == (6, 4)
     # the dense products are taken row by row, so every row is a batch-1 pass
     for i in range(6):
-        assert net.forward(params, grid[i], aux[i]).tobytes() == q[i : i + 1].tobytes()
+        one = net.forward(params, grid[i : i + 1], aux[i : i + 1])
+        assert one.tobytes() == q[i : i + 1].tobytes()
 
 
 def test_forward_reads_the_grid_where_it_lies():
     """A strided view and a float64 copy of a float32 grid give the grid's
     own Q-value bytes, a training pass leaves the caller's grid as it was,
-    and a grid one column short is refused."""
+    and a grid one column short, or one grid not in a batch, is refused."""
     rng = np.random.default_rng(6)
     net, params = small_net(rng)
     grid, aux, actions, targets = batch(rng, net)
@@ -104,6 +105,12 @@ def test_forward_reads_the_grid_where_it_lies():
     assert grid.tobytes() == before
     with pytest.raises(ValueError):
         net.forward(params, grid[..., 1:], aux)
+    with pytest.raises(ValueError):
+        net.forward(params, grid[0], aux[0])
+    dense = QNetwork(default_net_config(2, 2, 5, 3))  # no conv fits a 2x2 grid
+    grid, aux, _, _ = batch(rng, dense)
+    with pytest.raises(ValueError):
+        dense.forward(dense.init_params(rng), grid[0], aux[0])
 
 
 def test_conv_dense_gradients_match_finite_differences():

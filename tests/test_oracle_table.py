@@ -24,7 +24,10 @@ from minislot.grid import GridSpec, Tier, live_cells, live_plans
 from minislot.oracle import oracle_best_plan
 from minislot.scenario import scenario_for_trial, tiny_config
 
-KEY_FIELDS = SchedulingEnv.KEY_FIELDS
+# The SchedulingEnv attributes that decide what can follow a live state,
+# which SchedulingEnv.child_keys keys.  Everything else reset() sets is
+# fixed per trial, derived from these, or a record of the past (NOT_KEYED).
+KEY_FIELDS = ("occupancy", "bits", "counts", "_et_rotation")
 
 # SchedulingEnv attributes the key leaves out
 NOT_KEYED = {

@@ -45,7 +45,7 @@ def test_fmt_distinguishes_types():
 
 def test_training_csv_layout(tmp_path):
     path = tmp_path / "training.csv"
-    write_training_csv(path, [metric(0, 10.0), metric(1, 20.0, served=2)], window=2)
+    write_training_csv(path, [metric(0, 10.0), metric(1, 20.0, served=2)])
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRAINING_COLUMNS)
     assert lines[1] == "0,10,10,3,50,15,1"

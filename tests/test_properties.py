@@ -137,6 +137,30 @@ def check_invariants(env: SchedulingEnv) -> None:
         shape = env.shapes[action]
         reference = brute_force_first_fit(code, shape.freq_width_units, shape.time_len_units)
         assert env._fits[action] == env.occupancy.find_first_fit(shape) == reference
+    assert env.feasible_actions() == reference_mask(env)
+
+
+def reference_mask(env: SchedulingEnv) -> tuple[bool, ...]:
+    """The live state's mask, rebuilt: an action is feasible when its shape
+    fits on the grid, the acting user's placements in the acting tier are
+    under the cap and, in the base tier, the bits the shape adds keep the
+    user's base-tier QoE within its peak (NaN passes, as in the env)."""
+    ue = env._active
+    profile = env.profiles[ue]
+    qp = profile.qoe
+    cap = env.config.max_bwps_per_ue_tier
+    slot = ue if env.phase == Tier.BT else env.config.n_ues + ue
+    mask = []
+    for shape in env.shapes:
+        feasible = brute_force_first_fit(
+            env.occupancy.code, shape.freq_width_units, shape.time_len_units
+        ) is not None and (cap is None or env.counts[slot] < cap)
+        if feasible and env.phase == Tier.BT:
+            bits = env.bits[ue] + shape.area_shz(env.dims) * profile.link.spectral_efficiency
+            q_bt = base_tier_qoe(bits, env.config.frame_duration_s, qp)
+            feasible = not q_bt > qp.peak_qoe
+        mask.append(feasible)
+    return tuple(mask)
 
 
 @SETTINGS

@@ -130,8 +130,8 @@ def test_oracle_workers_never_outnumber_trials(trials, pools, monkeypatch, tmp_p
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     config = tiny_experiment(n_eval_trials=trials)
