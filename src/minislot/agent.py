@@ -310,7 +310,7 @@ def train(env: SchedulingEnv, cfg: TrainConfig, on_episode=None) -> TrainResult:
             episode=episode,
             total_reward=total_reward,
             steps=env.step_count,
-            served_count=int(np.sum(env.served)),
+            served_count=sum(env.served),
             n_ues=env.config.n_ues,
             total_qoe=env.total_qoe(),
             epsilon=eps,

@@ -92,6 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_base = sub.add_parser("baseline", help="equal-split reference methods only")
     _add_common(p_base)
     p_base.add_argument("--trials", type=int, help="number of evaluation trials")
+    p_base.set_defaults(
+        methods=",".join((EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY)), checkpoint=None, jobs=1
+    )
 
     p_oracle = sub.add_parser("oracle", help="exhaustive search on small instances")
     _add_common(p_oracle)
@@ -100,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--checkpoint", help="also evaluate this trained policy on the same trials"
     )
+    p_oracle.set_defaults(methods=ORACLE)
 
     return parser
 
@@ -121,10 +125,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        if args.command == "eval":
-            methods = tuple(m for m in args.methods.split(",") if m)
-            if not methods:
-                raise ValueError(f"--methods names no method: {args.methods!r}")
         out = args.out or config.output_dir
         command = " ".join(["minislot"] + (argv if argv is not None else sys.argv[1:]))
 
@@ -138,7 +138,12 @@ def main(argv=None) -> int:
                 f"trained {len(result.metrics)} episodes; "
                 f"final reward {last.total_reward:.3f}; checkpoint {checkpoint}"
             )
-        elif args.command == "eval":
+        else:
+            methods = tuple(m for m in args.methods.split(",") if m)
+            if not methods:
+                raise ValueError(f"--methods names no method: {args.methods!r}")
+            if args.command == "oracle" and args.checkpoint:
+                methods += (DQN,)
             rows = run_eval(
                 config,
                 out,
@@ -146,26 +151,7 @@ def main(argv=None) -> int:
                 checkpoint=args.checkpoint,
                 jobs=args.jobs,
                 command=command,
-            )
-            _print_summary(rows)
-        elif args.command == "baseline":
-            rows = run_eval(
-                config,
-                out,
-                methods=(EQUAL_BANDWIDTH, EQUAL_TIME_FREQUENCY),
-                command=command,
-            )
-            _print_summary(rows)
-        elif args.command == "oracle":
-            methods = (ORACLE, DQN) if args.checkpoint else (ORACLE,)
-            rows = run_eval(
-                config,
-                out,
-                methods=methods,
-                checkpoint=args.checkpoint,
-                jobs=args.jobs,
-                command=command,
-                filename="oracle.csv",
+                filename="oracle.csv" if args.command == "oracle" else "eval.csv",
             )
             _print_summary(rows)
     except (ValueError, OSError, MemoryError, SearchSizeError) as exc:

@@ -101,11 +101,6 @@ def expand_cells(
 # copy cheap (the oracle clones once per search node)
 _COPIED_TYPES = frozenset((list, Occupancy))
 
-# (base-tier QoE, combined QoE) of a user with no base-tier bits: 0 stands
-# in for the undefined combined QoE so QoE deltas are well defined from the
-# first allocation on
-_NO_SCORES = (-math.inf, 0.0)
-
 # relative slack on _bound, far above the rounding of its few float ops
 BOUND_SLACK = 1e-9
 
@@ -163,10 +158,9 @@ class SchedulingEnv:
         # slot u, its enhancement tier slot n + u
         self.bits = [0.0] * (2 * n)
         self.counts = [0] * (2 * n)
-        self.served = [False] * n
         self.bt_excluded = [False] * n
-        # each user's scores, recomputed only when its bits change
-        self._scores = [_NO_SCORES] * n
+        # each user's QoE report, recomputed only when its bits change
+        self.reports = [evaluate_ue(0.0, 0.0, self._frame_s, p.qoe) for p in profiles]
         # the bits per frame each action adds, per user
         self._added_bits = tuple(
             tuple(shape.area_shz(self.dims) * p.link.spectral_efficiency for shape in self.shapes)
@@ -194,6 +188,13 @@ class SchedulingEnv:
             # stillborn episode: constraints unsatisfiable before any action
             self.done = True
             self.outcome = terminal
+
+    @property
+    def served(self) -> list[bool]:
+        """Each user's serving flag, read from its report: a user is served
+        once its base-tier QoE reaches its minimum, and its base-tier bits
+        never change after that."""
+        return [report.served for report in self.reports]
 
     @property
     def step_count(self) -> int:
@@ -225,7 +226,10 @@ class SchedulingEnv:
         self.occupancy.mark(t, f, shape, 1 + 2 * ue + (tier == Tier.ET))
         self.allocations.append(BwpAllocation(ue, tier, shape, t, f))
 
-        q_before = self._scores[ue][1]
+        # 0 stands in for the undefined combined QoE before the user's first
+        # base-tier bits, so QoE deltas are well defined from the first
+        # allocation on
+        q_before = self.reports[ue].q_combined if self.bits[ue] > 0.0 else 0.0
         n = self.config.n_ues
         slot = self._slot(ue, tier)
         self.bits[slot] += self._added_bits[ue][action_index]
@@ -233,14 +237,11 @@ class SchedulingEnv:
         # a user acts in the base tier only once _bt_hopeless finds it can
         # gain bits there, and in the enhancement tier only once served, so
         # its base-tier bits are positive here
-        qp = self.profiles[ue].qoe
-        self._scores[ue] = ue_scores(self.bits[ue], self.bits[n + ue], self._frame_s, qp)
-        q_bt, q_combined = self._scores[ue]
-        delta = q_combined - q_before
+        report = evaluate_ue(self.bits[ue], self.bits[n + ue], self._frame_s, self.profiles[ue].qoe)
+        self.reports[ue] = report
+        delta = report.q_combined - q_before
 
-        if tier == Tier.BT and q_bt >= qp.min_qoe:
-            self.served[ue] = True
-        elif tier == Tier.ET:
+        if tier == Tier.ET:
             self._et_rotation.append(self._et_rotation.pop(0))
 
         terminal = self._resolve_cursor()
@@ -268,18 +269,19 @@ class SchedulingEnv:
 
         A step marks the action's stored first fit, adds its bits to the
         active user's slot for its tier and counts it there; the rest of
-        what it changes (the serving flag, the rotation, the next active
+        what it changes (the user's report, the rotation, the next active
         user) follows from those fields, the parent's rotation and the
         trial's constants.  So a key holds the grid, bits and counts just
         after that add, and the rotation as the parent holds it.  The
-        serving flags and the parent's cursor are left out, since they
-        follow from these too: a user is served exactly when its base-tier
-        bits are positive and reach its minimum QoE (``step`` sets the flag
-        at that step, and those bits never change after it); the parent is
-        in the enhancement tier exactly when its rotation is non-empty, and
-        acts there for the rotation's head; in the base tier it acts for the
-        last user in serving order with a base-tier placement in the
-        child's counts, since later users have none yet.  The counts sum to
+        reports, with their serving flags, and the parent's cursor are left
+        out, since they follow from these too: a user is served exactly
+        when its base-tier bits are positive and reach its minimum QoE
+        (``step`` sets its report at that step, and those bits never change
+        after it); the parent is in the enhancement tier exactly when its
+        rotation is non-empty, and acts there for the rotation's head; in
+        the base tier it acts for the last user in serving order with a
+        base-tier placement in the child's counts, since later users have
+        none yet.  The counts sum to
         the depth, so children of different depths never share a key.  Of
         the grid, a key holds the child's live cells (``grid.live_cells``)
         and its free-cell count, which ``_bt_hopeless`` reads.  First fits,
@@ -334,7 +336,7 @@ class SchedulingEnv:
         """
         if self.phase == Tier.BT:
             # the base tier serves users in order, each until it is served
-            ue = next((ue for ue in self.order if not self.served[ue]), None)
+            ue = next((ue for ue in self.order if not self.reports[ue].served), None)
             if ue is None:
                 # every user is served: hand out the enhancement tier
                 # round-robin
@@ -398,7 +400,7 @@ class SchedulingEnv:
         ue = self._active
         et = self.phase == Tier.ET
         slot = self._slot(ue, self.phase)
-        bits, counts, served = self.bits.copy(), self.counts.copy(), self.served.copy()
+        bits, counts, served = self.bits.copy(), self.counts.copy(), self.served
         counts[slot] += 1
         parent_bits = bits[slot]
         added = self._added_bits[ue]
@@ -479,14 +481,13 @@ class SchedulingEnv:
         """(uint8 cell grid, float32 aux vector); cheap enough to store."""
         n = self.config.n_ues
         aux = np.zeros(self.aux_dim, dtype=np.float32)
-        for ue in range(n):
+        for ue, report in enumerate(self.reports):
             base = 4 * ue
             if self.bits[ue] > 0.0:
-                q_bt, q_combined = self._scores[ue]
                 min_qoe = self.profiles[ue].qoe.min_qoe
-                aux[base] = q_bt / min_qoe
-                aux[base + 1] = q_combined / min_qoe
-            aux[base + 2] = 1.0 if self.served[ue] else 0.0
+                aux[base] = report.q_bt / min_qoe
+                aux[base + 1] = report.q_combined / min_qoe
+            aux[base + 2] = 1.0 if report.served else 0.0
             aux[base + 3] = 1.0 if self.bt_excluded[ue] else 0.0
         if self._active is not None and not self.done:
             aux[4 * n + self._active] = 1.0
@@ -496,18 +497,11 @@ class SchedulingEnv:
 
     def total_qoe(self) -> float:
         """Sum of combined QoE over served users only."""
-        return float(sum(q for (_, q), served in zip(self._scores, self.served) if served))
+        return float(sum(report.q_combined for report in self.reports if report.served))
 
     def plan(self) -> AllocationPlan:
-        """The episode's placements with per-user QoE reports recomputed from
-        the accumulated bits (the serving flags must agree with the
-        protocol's own bookkeeping)."""
-        n = self.config.n_ues
-        reports = tuple(
-            evaluate_ue(self.bits[ue], self.bits[n + ue], self._frame_s, self.profiles[ue].qoe)
-            for ue in range(n)
-        )
-        return AllocationPlan(tuple(self.allocations), reports)
+        """The episode's placements with each user's QoE report."""
+        return AllocationPlan(tuple(self.allocations), tuple(self.reports))
 
     def clone(self) -> "SchedulingEnv":
         """Independent copy of the live episode (used by exhaustive search).

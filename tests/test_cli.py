@@ -130,6 +130,24 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert all(",oracle," in line for line in lines[1:])
 
 
+def test_oracle_with_checkpoint_adds_dqn_rows(trained, tmp_path, capsys):
+    code = main(
+        [
+            "oracle", "--tiny", "--trials", "2", "--out", str(tmp_path),
+            "--checkpoint", str(trained / "checkpoint.npz"),
+        ]
+    )
+    assert code == 0
+    lines = (tmp_path / "oracle.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2  # header + 2 trials x (oracle, dqn)
+    with open(tmp_path / "oracle.csv", newline="") as fh:
+        rows = sorted((row["trial"], row["method"]) for row in csv.DictReader(fh))
+    assert rows == [("0", "dqn"), ("0", "oracle"), ("1", "dqn"), ("1", "oracle")]
+    assert not (tmp_path / "eval.csv").exists()
+    out = capsys.readouterr().out
+    assert "dqn" in out and "oracle" in out
+
+
 def test_oracle_searches_when_every_total_is_negative(tmp_path, monkeypatch):
     """Served users score -200 to -80 here, so no total exceeds -1, where
     the search's incumbent used to start: it found no plan and crashed."""

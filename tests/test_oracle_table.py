@@ -38,12 +38,12 @@ NOT_KEYED = {
     # action adds for each user and the bits one cell gives each user
     "profiles", "order", "_added_bits", "_cell_bits",
     # derived: the mask and each action's first fit from the grid and
-    # cursor, each user's scores and serving flag from its bits, the phase
-    # is the enhancement tier exactly when the rotation is non-empty, and
-    # the active user is the rotation's head there, else the last user in
-    # serving order with a base-tier placement (test_properties.py checks
-    # these on every step)
-    "_mask", "_fits", "_scores", "served", "phase", "_active",
+    # cursor, each user's QoE report (scores and serving flag) from its
+    # bits, the phase is the enhancement tier exactly when the rotation is
+    # non-empty, and the active user is the rotation's head there, else the
+    # last user in serving order with a base-tier placement
+    # (test_properties.py checks these on every step)
+    "_mask", "_fits", "reports", "phase", "_active",
     # records of the past, which no later step reads; a user is excluded
     # from the base tier only on the step that ends the episode, so the
     # exclusion flags are all False in every live state

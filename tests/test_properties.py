@@ -1,9 +1,9 @@
 """Property tests: the environment's grid, placements, serving flags and
-what it computes once and keeps (scores, first fits, the free count)
+what it computes once and keeps (QoE reports, first fits, the free count)
 against simple reference implementations, on generated configs and
 generated masked action sequences."""
 
-import math
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +24,7 @@ from minislot.grid import (
     live_plans,
     validate_allocation_set,
 )
-from minislot.qoe import base_tier_qoe, evaluate_ue, ue_scores
+from minislot.qoe import QoeReport, base_tier_qoe, evaluate_ue
 from minislot.scenario import scenario_for_trial, tiny_config
 
 # hypothesis's explain phase can crash on a failing st.data() example and
@@ -102,19 +102,15 @@ def check_invariants(env: SchedulingEnv) -> None:
         report = evaluate_ue(
             bits[Tier.BT], bits[Tier.ET], env.config.frame_duration_s, profile.qoe
         )
+        # the kept report is the report of the user's bits as they stand
+        assert report_bits(env.reports[ue]) == report_bits(report)
         assert env.served[ue] == report.served
         # the serving flag follows from the kept base-tier bits alone, which
         # lets the oracle's key leave it out
         qp = profile.qoe
-        n = env.config.n_ues
-        frame_s = env.config.frame_duration_s
         bt = env.bits[ue]
+        frame_s = env.config.frame_duration_s
         assert env.served[ue] == (bt > 0.0 and base_tier_qoe(bt, frame_s, qp) >= qp.min_qoe)
-        # the kept scores are the scores of the user's bits as they stand
-        if bt > 0.0:
-            assert env._scores[ue] == ue_scores(bt, env.bits[n + ue], frame_s, qp)
-        else:
-            assert env._scores[ue] == (-math.inf, 0.0)
     code = env.occupancy.code
     assert env.occupancy.free_units() == code.size - np.count_nonzero(code)
     if env.done:
@@ -138,6 +134,12 @@ def check_invariants(env: SchedulingEnv) -> None:
         reference = brute_force_first_fit(code, shape.freq_width_units, shape.time_len_units)
         assert env._fits[action] == env.occupancy.find_first_fit(shape) == reference
     assert env.feasible_actions() == reference_mask(env)
+
+
+def report_bits(report: QoeReport) -> tuple[bytes, bool]:
+    """A report's scores as their float64 bytes, so that NaN (a user with no
+    base-tier bits) equals NaN, and its serving flag."""
+    return struct.pack("<2d", report.q_bt, report.q_combined), report.served
 
 
 def reference_mask(env: SchedulingEnv) -> tuple[bool, ...]:
@@ -178,7 +180,7 @@ def test_random_masked_episodes_keep_grid_and_serving_consistent(config, trial, 
     assert plan.allocations == tuple(env.allocations)
     assert [r.served for r in plan.reports] == env.served
     assert [r.counted_qoe for r in plan.reports] == [
-        q if served else 0.0 for (_, q), served in zip(env._scores, env.served)
+        r.q_combined if r.served else 0.0 for r in env.reports
     ]
     assert plan.total_qoe == env.total_qoe()
 
