@@ -10,8 +10,8 @@ both action selection and the bootstrap max.
 
 from __future__ import annotations
 
-import io
 import json
+import sys
 import tokenize
 import zipfile
 import zlib
@@ -60,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.episodes < 0:
             raise ValueError("episodes must be non-negative")
+        if self.episodes > sys.float_info.max:
+            raise ValueError(f"episodes must be at most {sys.float_info.max:.3g}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.target_sync_steps < 1:

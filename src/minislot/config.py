@@ -56,7 +56,8 @@ def _typed(hint, value, where: str):
     """``value`` as the field type ``hint`` holds it; _Malformed otherwise.
 
     Dataclass fields are built from objects, tuple fields from lists; an
-    int field takes no float or bool, a float field takes an int.
+    int field takes no float or bool, a float field converts an int within
+    float range.
     """
     if is_dataclass(hint):
         return _build(hint, value, where + ".")
@@ -73,6 +74,11 @@ def _typed(hint, value, where: str):
     allowed = {int: (int,), float: (int, float), str: (str,)}[hint]
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise _Malformed(f"{where} must be {hint.__name__}, got {value!r}")
+    if hint is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise _Malformed(f"{where} must be float, got an int beyond float range") from None
     return value
 
 

@@ -80,14 +80,21 @@ def per_ue_psd_w_hz(link: LinkParams, n_ues: int) -> float:
 
 
 def path_gain(distance_m: float, carrier_frequency_hz: float) -> float:
-    """Free-space channel power gain (c / 4 pi f)^2 * d^-2."""
+    """Free-space channel power gain (c / 4 pi f)^2 * d^-2; a ValueError
+    where a square overflows."""
     if distance_m < MIN_DISTANCE_M:
         raise ValueError(
             f"distance_m must be >= {MIN_DISTANCE_M} (far-field model), "
             f"got {distance_m}"
         )
     amplitude = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * carrier_frequency_hz)
-    return amplitude**2 / distance_m**2
+    try:
+        return amplitude**2 / distance_m**2
+    except OverflowError:
+        raise ValueError(
+            f"path gain overflows at distance_m {distance_m} and "
+            f"carrier_frequency_hz {carrier_frequency_hz}"
+        ) from None
 
 
 def snr(link: LinkParams, channel_power_gain: float, ue_psd_w_hz: float) -> float:

@@ -20,7 +20,7 @@ from .agent import TrainResult, greedy_rollout, load_checkpoint, save_checkpoint
 from .baselines import AllocationPlan, equal_bandwidth_plan, equal_time_frequency_plan
 from .config import ExperimentConfig, to_dict
 from .env import SchedulingEnv
-from .oracle import OracleResult, oracle_best_plan
+from .oracle import oracle_best_plan
 from .outputs import write_eval_csv, write_manifest, write_training_csv
 from .scenario import scenario_for_trial
 
@@ -109,12 +109,6 @@ def _plan_row(trial: int, method: str, plan: AllocationPlan) -> dict:
     }
 
 
-def _oracle_trial(config: ExperimentConfig, profiles) -> OracleResult:
-    """The oracle's search of the trial whose users are ``profiles``, in the
-    episodes the policy plays."""
-    return oracle_best_plan(config.scenario, profiles, config.reward)
-
-
 def run_eval(
     config: ExperimentConfig,
     out_dir: str,
@@ -188,9 +182,10 @@ def run_eval(
             # imported here, or every run would load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                searched = list(pool.map(_oracle_trial, repeat(config), trials))
+                scenarios, rewards = repeat(config.scenario), repeat(config.reward)
+                searched = list(pool.map(oracle_best_plan, scenarios, trials, rewards))
         else:
-            searched = [_oracle_trial(config, profiles) for profiles in trials]
+            searched = [oracle_best_plan(config.scenario, p, config.reward) for p in trials]
         rows.extend(_plan_row(trial, ORACLE, r.plan) for trial, r in enumerate(searched))
         manifest["oracle_nodes"] = [r.nodes for r in searched]
         manifest["oracle_repeats"] = [r.repeats for r in searched]

@@ -10,6 +10,7 @@ reproducible in isolation and safe to evaluate in parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,9 +63,12 @@ class FovModel:
 
     def check_reachable(self) -> None:
         """Refuse a support that all ``max_draws`` draws miss with a chance
-        above 1e-9, or fewer than one draw, before any draw is made."""
+        above 1e-9, or fewer than one draw or more than a float holds,
+        before any draw is made."""
         if self.max_draws < 1:
             raise ValueError(f"FoV max_draws must be at least 1, got {self.max_draws}")
+        if self.max_draws > sys.float_info.max:
+            raise ValueError(f"FoV max_draws must be at most {sys.float_info.max:.3g}")
         mass = self.support_mass()
         miss = (1.0 - mass) ** self.max_draws
         if not miss <= 1e-9:  # NaN included

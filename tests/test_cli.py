@@ -33,6 +33,12 @@ def trained(tmp_path_factory):
     return out
 
 
+def _error_line(err: str) -> str:
+    """``err`` as a run that failed cleanly leaves it: one ``error:`` line."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--help"])
@@ -174,8 +180,7 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
          "--out", str(tmp_path)]
     )
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert "(8, 16, 12, 4)" in err and "(24, 56, 22, 9)" in err  # tiny vs default
 
 
@@ -211,6 +216,8 @@ def test_eval_rejects_checkpoint_of_another_geometry(trained, tmp_path, capsys):
              "--checkpoint", "missing.npz"],
             {}, None, "checkpoint missing.npz is a dqn policy, but no dqn method is asked for",
         ),
+        # the flag overrides the config's count, so no config sweep reaches it
+        (["train", "--tiny", "--episodes", str(10**400)], {}, None, "episodes must be at most"),
     ],
 )
 def test_counts_below_one_fail_cleanly(
@@ -223,8 +230,7 @@ def test_counts_below_one_fail_cleanly(
         argv = argv + ["--config", str(tmp_path / "experiment.json")]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert message in err
     assert not out.exists()
 
@@ -254,8 +260,7 @@ def test_bad_train_overrides_fail_cleanly(environ, message, tmp_path, monkeypatc
         monkeypatch.setenv(name, value)
     out = tmp_path / "out"
     assert main(["train", "--tiny", "--episodes", "2", "--quiet", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert message in err
     assert not out.exists()
 
@@ -327,8 +332,7 @@ def test_damaged_checkpoint_fails_cleanly(damage, tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert f"cannot read checkpoint {str(path)!r}" in err
     assert not out.exists()
 
@@ -390,8 +394,7 @@ def test_bad_checkpoint_metadata_fails_cleanly(edit, message, tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert f"bad metadata in checkpoint {str(path)!r}" in err
     assert message in err
     assert not out.exists()
@@ -416,8 +419,7 @@ def test_checkpoint_of_another_architecture_is_refused(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["eval", "--trials", "1", "--methods", "dqn", "--checkpoint", str(path)]
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert f"bad metadata in checkpoint {str(path)!r}" in err
     assert "'filters': 4" in err and "its geometry's" in err
     assert not out.exists()
@@ -446,8 +448,7 @@ def test_train_refuses_a_run_that_took_no_step(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MINISLOT_SCENARIO__QOE_A", "1e308")
     out = tmp_path / "out"
     assert main(["train", "--tiny", "--episodes", "3", "--quiet", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert "none of the 3 training episodes took a step" in err
     assert not out.exists()
 
@@ -459,8 +460,7 @@ def test_eval_refuses_a_dqn_run_that_placed_nothing(tmp_path, monkeypatch, capsy
     out = tmp_path / "out"
     argv = ["eval", "--checkpoint", str(CHECKPOINT), "--methods", "dqn", "--trials", "3"]
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert "the dqn policy placed no BWP in any of the 3 trials" in err
     assert not out.exists()
 
@@ -598,8 +598,7 @@ def test_bad_scenario_overrides_fail_cleanly(argv, environ, message, tmp_path, m
         monkeypatch.setenv(name, value)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _error_line(capsys.readouterr().err)
     assert message in err
     assert not out.exists()
 
@@ -634,7 +633,10 @@ CONFIG_LEAVES = _leaves(TINY)
 TINY_TRAIN = json.loads(json.dumps(TINY))
 TINY_TRAIN["train"].update(batch_size=8, train_start_size=8)
 META_LEAVES = _leaves(META)
-OUT_OF_RANGE = [0, -1, 1.5, 10**30, math.nan, math.inf, -math.inf, None, True, "x", [], {}]
+OUT_OF_RANGE = [
+    0, -1, 1.5, 10**30, 10**400, 1e300, 1e-300, math.nan, math.inf, -math.inf, None, True, "x",
+    [], {},
+]
 
 
 def _values(value):
@@ -667,12 +669,18 @@ def _config_cases(draw):
     value = draw(_values(_get(base, path)))
 
     def setup(tmp: Path) -> list[str]:
-        config = json.loads(json.dumps(base))
-        _set_leaf(list(path), value)(config)
-        (tmp / "experiment.json").write_text(json.dumps(config))
-        return command + ["--config", str(tmp / "experiment.json")]
+        return _with_config(tmp, command, base, path, value)
 
     return f"{command[0]} with {'.'.join(map(str, path))} = {value!r}", setup
+
+
+def _with_config(tmp: Path, command: list[str], base: dict, path, value) -> list[str]:
+    """``command`` reading a config file in ``tmp``: ``base`` with the leaf
+    at ``path`` set to ``value``."""
+    config = json.loads(json.dumps(base))
+    _set_leaf(list(path), value)(config)
+    (tmp / "experiment.json").write_text(json.dumps(config))
+    return command + ["--config", str(tmp / "experiment.json")]
 
 
 @st.composite
@@ -719,7 +727,7 @@ def _check_outputs(argv: list[str], out: Path) -> None:
     else:
         with open(out / "eval.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == (2 * 2 if argv[0] == "baseline" else 1)
+        assert len(rows) == (2 * int(argv[2]) if argv[0] == "baseline" else 1)
         for row in rows:
             assert math.isfinite(float(row["total_qoe"])), row
             assert all(math.isfinite(float(q)) for q in row["per_ue_qoe"].split(";")), row
@@ -734,15 +742,46 @@ def test_generated_inputs_run_or_fail_cleanly(case):
     _, setup = case  # the label shows in a failing example
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        argv = setup(tmp)
-        out = tmp / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv + ["--out", str(out)])
-        if code == 0:
-            _check_outputs(argv, out)
-        else:
-            assert code == 1
-            message = err.getvalue()
-            assert message.startswith("error: ") and message.count("\n") == 1, message
-            assert not out.exists()
+        _run_or_fail_cleanly(setup(tmp), tmp / "out")
+
+
+def _run_or_fail_cleanly(argv: list[str], out: Path) -> None:
+    """Run ``argv`` into ``out``: it either exits 0 with well-formed
+    outputs, or exits 1 with one ``error:`` line and no output directory."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(out)])
+    if code == 0:
+        _check_outputs(argv, out)
+    else:
+        assert code == 1
+        _error_line(err.getvalue())
+        assert not out.exists()
+
+
+BEYOND_FLOAT = {"10**400": 10**400, "1e300": 1e300, "-1e300": -1e300, "1e-300": 1e-300}
+
+
+def test_numbers_beyond_float_range_run_or_fail_cleanly():
+    """Every non-string leaf of the tiny config set, one at a time, to an
+    int beyond the float range or a float near either end of it, run
+    through baseline and train: each run ends as ``_run_or_fail_cleanly``
+    says.  Every failing combination is reported."""
+    failures = []
+    for command, base in (
+        (["baseline", "--trials", "1"], TINY),
+        (["train", "--episodes", "1", "--quiet"], TINY_TRAIN),
+    ):
+        for path in CONFIG_LEAVES:
+            if isinstance(_get(base, path), str):
+                continue
+            for label, value in BEYOND_FLOAT.items():
+                with tempfile.TemporaryDirectory() as tmp:
+                    tmp = Path(tmp)
+                    argv = _with_config(tmp, command, base, path, value)
+                    try:
+                        _run_or_fail_cleanly(argv, tmp / "out")
+                    except Exception as exc:
+                        name = ".".join(map(str, path))
+                        failures.append(f"{command[0]} with {name} = {label}: {exc!r}")
+    assert not failures, "\n".join(failures)
